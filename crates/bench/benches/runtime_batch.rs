@@ -20,7 +20,7 @@ use nfbist_soc::session::MeasurementSession;
 use nfbist_soc::setup::BistSetup;
 
 /// The paper's processing load: 10⁶ samples through 10⁴-point Welch
-/// segments (199 Bluestein FFTs per estimate).
+/// segments (199 mixed-radix real FFTs per estimate).
 fn bench_welch_workspace_vs_allocating(c: &mut Criterion) {
     let samples = 1_000_000;
     let nfft = 10_000;

@@ -65,6 +65,13 @@
 //!     retained span at every emission point; the two emission series
 //!     are asserted bit-identical before timing.
 //!
+//! And one transform at the paper's segment size:
+//!
+//! 12. **10⁴-point real FFT** — `RealFft::forward_into` on its
+//!     mixed-radix path vs Bluestein's `ArbitraryFft::forward_real_into`,
+//!     which the PSD estimators used at this size before; every bin is
+//!     asserted to agree within 1e-12 of the largest before timing.
+//!
 //! Usage: `bench_smoke [--json [PATH]] [--reps N] [--assert-simd]`.
 //! With `--json` the results are written to `PATH` (default
 //! `BENCH_pr10.json`); the JSON `cases` keys (`name`, `baseline`,
@@ -81,7 +88,7 @@ use nfbist_analog::converter::OneBitDigitizer;
 use nfbist_analog::noise::WhiteNoise;
 use nfbist_dsp::complex::Complex64;
 use nfbist_dsp::correlation::{autocorrelation, Bias};
-use nfbist_dsp::fft::{Fft, RealFft};
+use nfbist_dsp::fft::{ArbitraryFft, Fft, RealFft};
 use nfbist_dsp::psd::{DspWorkspace, WelchConfig};
 use nfbist_dsp::window::Window;
 
@@ -629,6 +636,51 @@ fn run(reps: usize) -> Vec<Case> {
             name: "windowed_emissions_256x1024",
             baseline: "batch Welch recomputed over the retained span at every \
                        emission point",
+            baseline_ns,
+            new_ns,
+            workers: 1,
+            dispatch: nfbist_dsp::simd::active_arm().name(),
+        });
+    }
+
+    // --- Case 12: one transform at the paper's 10⁴ points, the
+    // mixed-radix real FFT vs Bluestein. The one-sided bins must match
+    // Bluestein's full spectrum before either side is timed.
+    {
+        let n = 10_000;
+        let x: Vec<f64> = (0..n).map(|j| (j as f64 * 0.37).sin() + 0.2).collect();
+        let real_plan = RealFft::new(n).expect("real plan");
+        let bluestein = ArbitraryFft::new(n).expect("bluestein plan");
+        let mut one_sided = vec![Complex64::ZERO; real_plan.output_len()];
+        let mut full = vec![Complex64::ZERO; n];
+        let mut scratch = vec![Complex64::ZERO; bluestein.scratch_len()];
+        real_plan
+            .forward_into(&x, &mut one_sided)
+            .expect("real fft");
+        bluestein
+            .forward_real_into(&x, &mut scratch, &mut full)
+            .expect("bluestein");
+        let peak = full.iter().map(|z| z.abs()).fold(0.0, f64::max);
+        for (k, (a, b)) in one_sided.iter().zip(&full).enumerate() {
+            assert!(
+                (*a - *b).abs() <= 1e-12 * peak,
+                "bin {k}: mixed-radix {a} vs Bluestein {b}"
+            );
+        }
+
+        let new_ns = time_ns(reps * 16, || {
+            real_plan
+                .forward_into(&x, &mut one_sided)
+                .expect("real fft")
+        });
+        let baseline_ns = time_ns(reps * 16, || {
+            bluestein
+                .forward_real_into(&x, &mut scratch, &mut full)
+                .expect("bluestein")
+        });
+        cases.push(Case {
+            name: "fft_real_10000",
+            baseline: "ArbitraryFft::forward_real_into (Bluestein, full N-point spectrum)",
             baseline_ns,
             new_ns,
             workers: 1,

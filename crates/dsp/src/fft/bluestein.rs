@@ -1,10 +1,12 @@
 //! Bluestein's chirp-z algorithm: DFTs of arbitrary length built from
 //! power-of-two convolutions.
 //!
-//! The paper's prototype processed 10⁶ samples with a 10⁴-point FFT —
-//! neither a power of two. Matlab handles this transparently; we provide
-//! [`ArbitraryFft`] so experiment configurations can use the paper's exact
-//! record sizes.
+//! Matlab transforms any length transparently; [`ArbitraryFft`] does the
+//! same here, so a configuration may ask for any FFT size. The paper's
+//! 10⁴-point segments do not need it: their real transform runs on the
+//! mixed-radix path of [`crate::fft::RealFft`]. The PSD estimators reach
+//! Bluestein only for odd sizes and for sizes whose half has a prime
+//! factor other than 2 and 5.
 
 use crate::complex::Complex64;
 use crate::fft::Fft;

@@ -8,11 +8,14 @@
 //! * [`RealFft`] — the real-input engine behind the PSD estimators: it
 //!   packs `N` real samples into an `N/2`-point complex transform and
 //!   untangles the conjugate-symmetric spectrum into the `N/2 + 1`
-//!   one-sided bins, halving the butterfly work.
+//!   one-sided bins, halving the butterfly work. It takes every even `N`
+//!   whose half factors into 2s and 5s: powers of two run the radix-2
+//!   kernel, the rest an in-place radix-4/2/5 kernel. The paper's
+//!   prototype used 10⁴-point FFTs, and `10⁴/2 = 2³·5⁴`.
 //! * [`ArbitraryFft`] — Bluestein's chirp-z algorithm for any size,
-//!   built on top of the radix-2 kernel. Used when an experiment asks for
-//!   a non-power-of-two record (the paper's prototype used a 10⁴-point
-//!   FFT, which is not a power of two).
+//!   built on top of the radix-2 kernel. The PSD estimators use it only
+//!   for sizes [`RealFft`] rejects: odd sizes, and halves with a prime
+//!   factor other than 2 and 5.
 //!
 //! Conventions: the forward transform computes
 //! `X[k] = Σ_n x[n]·e^{-j2πkn/N}` with no scaling; the inverse applies the
@@ -36,6 +39,7 @@
 //! ```
 
 mod bluestein;
+mod mixed;
 mod radix2;
 mod real;
 

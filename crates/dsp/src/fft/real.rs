@@ -20,9 +20,17 @@
 //! `k = 0..=M` with `M = N/2` (`X[M−k] = (E[k] − W_N^k·O[k])*` comes
 //! for free, which is how the untangle pass runs in place over pairs of
 //! bins). The remaining `N/2−1..N` bins are the conjugate mirror and
-//! are never materialized.
+//! are never materialized. When `N ≡ 2 (mod 4)`, `M` is odd: every bin
+//! pairs with a distinct partner and there is no self-conjugate bin.
+//!
+//! The `N/2`-point transform is the radix-2 [`Fft`] when `N` is a power
+//! of two, and otherwise the mixed-radix kernel for halves whose only
+//! prime factors are 2 and 5 — the paper's `N = 10⁴` among them. The
+//! pack loop of the mixed-radix path writes each pair straight into the
+//! kernel's digit-reversed input order.
 
 use crate::complex::Complex64;
+use crate::fft::mixed::MixedRadixFft;
 use crate::fft::Fft;
 use crate::DspError;
 
@@ -50,11 +58,21 @@ use crate::DspError;
 pub struct RealFft {
     size: usize,
     /// The half-size complex plan (`None` for the degenerate size 1).
-    inner: Option<Fft>,
-    /// Untangle twiddles `W_N^k = e^{-j2πk/N}` for `k` in `1..N/4`
-    /// (`k = 0` is the DC/Nyquist special case and `k = N/4` is the
-    /// self-conjugate bin, both handled without a table lookup).
+    inner: Option<HalfPlan>,
+    /// Untangle twiddles `W_N^k = e^{-j2πk/N}` for `k` in
+    /// `1..⌈N/4⌉` (`k = 0` is the DC/Nyquist special case and, when
+    /// `N/2` is even, `k = N/4` is the self-conjugate bin; both are
+    /// handled without a table lookup).
     twiddles: Vec<Complex64>,
+}
+
+/// The `N/2`-point complex transform inside a [`RealFft`].
+#[derive(Debug, Clone)]
+enum HalfPlan {
+    /// Power-of-two halves.
+    Radix2(Fft),
+    /// Halves of the form `2^a·5^c` with `c ≥ 1`.
+    Mixed(MixedRadixFft),
 }
 
 impl RealFft {
@@ -62,8 +80,9 @@ impl RealFft {
     ///
     /// # Errors
     ///
-    /// Returns [`DspError::InvalidFftSize`] unless `size` is a power of
-    /// two greater than zero.
+    /// Returns [`DspError::InvalidFftSize`] unless `size` is 1 or an
+    /// even number whose half has no prime factor other than 2 and 5
+    /// (every power of two, and the paper's 10⁴).
     pub fn new(size: usize) -> Result<Self, DspError> {
         if size == 0 {
             return Err(DspError::InvalidFftSize {
@@ -71,18 +90,23 @@ impl RealFft {
                 reason: "fft size must be nonzero",
             });
         }
-        if !size.is_power_of_two() {
-            return Err(DspError::InvalidFftSize {
-                size,
-                reason: "real fft size must be a power of two (use ArbitraryFft otherwise)",
-            });
-        }
-        let inner = if size >= 2 {
-            Some(Fft::new(size / 2)?)
-        } else {
+        let inner = if size == 1 {
             None
+        } else if size.is_power_of_two() {
+            Some(HalfPlan::Radix2(Fft::new(size / 2)?))
+        } else {
+            let mixed = size
+                .is_multiple_of(2)
+                .then(|| MixedRadixFft::new(size / 2))
+                .flatten()
+                .ok_or(DspError::InvalidFftSize {
+                    size,
+                    reason: "real fft size must be 1 or even with a half that has no prime \
+                             factor other than 2 and 5 (use ArbitraryFft otherwise)",
+                })?;
+            Some(HalfPlan::Mixed(mixed))
         };
-        let twiddles = (1..size / 4)
+        let twiddles = (1..(size / 2).div_ceil(2))
             .map(|k| Complex64::cis(-2.0 * std::f64::consts::PI * k as f64 / size as f64))
             .collect();
         Ok(RealFft {
@@ -147,10 +171,21 @@ impl RealFft {
         let m = self.size / 2;
 
         // Pack: z[i] = x[2i] + j·x[2i+1] into the work prefix of `out`.
-        for (z, pair) in out[..m].iter_mut().zip(x.chunks_exact(2)) {
-            *z = Complex64::new(pair[0], pair[1]);
+        match inner {
+            HalfPlan::Radix2(fft) => {
+                for (z, pair) in out[..m].iter_mut().zip(x.chunks_exact(2)) {
+                    *z = Complex64::new(pair[0], pair[1]);
+                }
+                fft.forward_in_place(&mut out[..m])?;
+            }
+            HalfPlan::Mixed(plan) => {
+                for (z, &i) in out[..m].iter_mut().zip(plan.input_order()) {
+                    let i = 2 * i as usize;
+                    *z = Complex64::new(x[i], x[i + 1]);
+                }
+                plan.forward_digit_reversed(&mut out[..m]);
+            }
         }
-        inner.forward_in_place(&mut out[..m])?;
 
         // Untangle in place, pairwise over (k, M−k).
         let z0 = out[0];
@@ -165,7 +200,7 @@ impl RealFft {
             out[k] = e + wo;
             out[m - k] = (e - wo).conj();
         }
-        if m >= 2 {
+        if m.is_multiple_of(2) {
             // Self-conjugate bin k = M/2: W_N^{M/2} = −j collapses the
             // untangle to a conjugation.
             out[m / 2] = out[m / 2].conj();
@@ -180,7 +215,8 @@ impl RealFft {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fft::dft_naive;
+    use crate::fft::{dft_naive, ArbitraryFft};
+    use std::f64::consts::PI;
 
     fn real_signal(n: usize) -> Vec<f64> {
         (0..n)
@@ -188,14 +224,47 @@ mod tests {
             .collect()
     }
 
+    /// Every even size up to 2¹⁴ that is not a power of two and whose
+    /// half has no prime factor other than 2 and 5.
+    fn mixed_radix_sizes() -> Vec<usize> {
+        (2..=1usize << 14)
+            .step_by(2)
+            .filter(|&n| {
+                let mut h = n / 2;
+                while h.is_multiple_of(2) {
+                    h /= 2;
+                }
+                while h.is_multiple_of(5) {
+                    h /= 5;
+                }
+                h == 1 && !n.is_power_of_two()
+            })
+            .collect()
+    }
+
+    /// `X[k]` from its defining O(N) sum, with the phase `k·n mod N`
+    /// reduced exactly so that the oracle's own error stays at rounding
+    /// level.
+    fn direct_bin(x: &[f64], k: usize) -> Complex64 {
+        let n = x.len();
+        x.iter()
+            .enumerate()
+            .map(|(j, &v)| Complex64::cis(-2.0 * PI * ((k * j) % n) as f64 / n as f64).scale(v))
+            .sum()
+    }
+
     #[test]
     fn rejects_bad_sizes() {
         assert!(RealFft::new(0).is_err());
         assert!(RealFft::new(3).is_err());
+        assert!(RealFft::new(5).is_err());
         assert!(RealFft::new(24).is_err());
+        assert!(RealFft::new(1_018).is_err());
         assert!(RealFft::new(1).is_ok());
         assert!(RealFft::new(2).is_ok());
+        assert!(RealFft::new(10).is_ok());
         assert!(RealFft::new(1024).is_ok());
+        assert!(RealFft::new(10_000).is_ok());
     }
 
     #[test]
@@ -213,18 +282,50 @@ mod tests {
 
     #[test]
     fn matches_naive_dft_one_sided() {
-        for n in [2usize, 4, 8, 16, 64, 256] {
+        // Powers of two, then every mixed-radix size up to 2¹⁴, among
+        // them the N ≡ 2 (mod 4) sizes 10, 50, 250, 1 250 and 6 250,
+        // whose odd half has no self-conjugate bin. The O(N²) oracle
+        // runs on every bin up to 1 280 points and at 6 250; the other
+        // sizes, the paper's 10⁴ included, compare a spread of bins with
+        // their defining sum.
+        let sizes = [2usize, 4, 8, 16, 64, 256]
+            .into_iter()
+            .chain(mixed_radix_sizes());
+        for n in sizes {
             let x = real_signal(n);
-            let packed: Vec<Complex64> = x.iter().map(|&v| Complex64::from_real(v)).collect();
-            let oracle = dft_naive(&packed);
             let fast = RealFft::new(n).unwrap().forward(&x).unwrap();
             assert_eq!(fast.len(), n / 2 + 1);
-            for (k, (a, b)) in fast.iter().zip(&oracle).enumerate() {
-                assert!(
-                    (*a - *b).abs() < 1e-9 * n as f64,
-                    "n={n} bin {k}: {a} vs {b}"
-                );
+            let tol = 1e-9 * n as f64;
+            if n <= 1_280 || n == 6_250 {
+                let packed: Vec<Complex64> = x.iter().map(|&v| Complex64::from_real(v)).collect();
+                for (k, (a, b)) in fast.iter().zip(&dft_naive(&packed)).enumerate() {
+                    assert!((*a - *b).abs() < tol, "n={n} bin {k}: {a} vs {b}");
+                }
+            } else {
+                let spread = (0..n / 2).step_by(n / 64);
+                for k in spread.chain([1, n / 4, n / 2 - 1, n / 2]) {
+                    let b = direct_bin(&x, k);
+                    assert!(
+                        (fast[k] - b).abs() < tol,
+                        "n={n} bin {k}: {} vs {b}",
+                        fast[k]
+                    );
+                }
             }
+        }
+    }
+
+    #[test]
+    fn paper_size_matches_bluestein_to_rounding() {
+        // At the paper's 10⁴ points every one-sided bin agrees with
+        // Bluestein's full spectrum within 1e-12 of the largest bin.
+        let n = 10_000;
+        let x = real_signal(n);
+        let fast = RealFft::new(n).unwrap().forward(&x).unwrap();
+        let slow = ArbitraryFft::new(n).unwrap().forward_real(&x).unwrap();
+        let peak = slow.iter().map(|z| z.abs()).fold(0.0, f64::max);
+        for (k, (a, b)) in fast.iter().zip(&slow).enumerate() {
+            assert!((*a - *b).abs() <= 1e-12 * peak, "bin {k}: {a} vs {b}");
         }
     }
 
@@ -242,25 +343,27 @@ mod tests {
 
     #[test]
     fn dc_and_nyquist_are_purely_real() {
-        let n = 128;
-        let x = real_signal(n);
-        let out = RealFft::new(n).unwrap().forward(&x).unwrap();
-        assert_eq!(out[0].im, 0.0);
-        assert_eq!(out[n / 2].im, 0.0);
-        let sum: f64 = x.iter().sum();
-        assert!((out[0].re - sum).abs() < 1e-9);
+        for n in [128usize, 250, 10_000] {
+            let x = real_signal(n);
+            let out = RealFft::new(n).unwrap().forward(&x).unwrap();
+            assert_eq!(out[0].im, 0.0);
+            assert_eq!(out[n / 2].im, 0.0);
+            let sum: f64 = x.iter().sum();
+            assert!((out[0].re - sum).abs() < 1e-9, "n={n}");
+        }
     }
 
     #[test]
     fn into_variant_matches_allocating_path_bitwise() {
-        let n = 256;
-        let x = real_signal(n);
-        let plan = RealFft::new(n).unwrap();
-        let alloc = plan.forward(&x).unwrap();
-        // Dirty output must not leak into the result.
-        let mut out = vec![Complex64::new(9.0, -9.0); plan.output_len()];
-        plan.forward_into(&x, &mut out).unwrap();
-        assert_eq!(alloc, out, "into-buffer path must be bit-identical");
+        for n in [256usize, 250] {
+            let x = real_signal(n);
+            let plan = RealFft::new(n).unwrap();
+            let alloc = plan.forward(&x).unwrap();
+            // Dirty output must not leak into the result.
+            let mut out = vec![Complex64::new(9.0, -9.0); plan.output_len()];
+            plan.forward_into(&x, &mut out).unwrap();
+            assert_eq!(alloc, out, "n={n}: into-buffer path must be bit-identical");
+        }
     }
 
     #[test]
@@ -276,16 +379,17 @@ mod tests {
 
     #[test]
     fn parseval_energy_on_one_sided_bins() {
-        let n = 512;
-        let x = real_signal(n);
-        let spec = RealFft::new(n).unwrap().forward(&x).unwrap();
-        let time: f64 = x.iter().map(|v| v * v).sum();
-        // One-sided Parseval: interior bins count twice.
-        let mut freq = spec[0].norm_sqr() + spec[n / 2].norm_sqr();
-        for z in &spec[1..n / 2] {
-            freq += 2.0 * z.norm_sqr();
+        for n in [512usize, 6_250] {
+            let x = real_signal(n);
+            let spec = RealFft::new(n).unwrap().forward(&x).unwrap();
+            let time: f64 = x.iter().map(|v| v * v).sum();
+            // One-sided Parseval: interior bins count twice.
+            let mut freq = spec[0].norm_sqr() + spec[n / 2].norm_sqr();
+            for z in &spec[1..n / 2] {
+                freq += 2.0 * z.norm_sqr();
+            }
+            freq /= n as f64;
+            assert!((time - freq).abs() < 1e-8 * (1.0 + time), "n={n}");
         }
-        freq /= n as f64;
-        assert!((time - freq).abs() < 1e-8 * (1.0 + time));
     }
 }

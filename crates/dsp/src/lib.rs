@@ -42,7 +42,7 @@
 //! | Module | Contents |
 //! |---|---|
 //! | [`complex`] | Minimal `Complex64` arithmetic used by the FFTs |
-//! | [`fft`] | Radix-2 FFT plans, real-input helpers, Bluestein for arbitrary sizes |
+//! | [`fft`] | Radix-2 FFT plans, the real-input FFT (radix-2, or radix-4/2/5 for even `2^a·5^c` sizes such as the paper's 10⁴), Bluestein for the other sizes |
 //! | [`window`] | Window functions and their coherent/noise gains |
 //! | [`psd`] | Periodogram and Welch PSD estimators producing [`spectrum::Spectrum`] |
 //! | [`spectrum`] | One-sided PSD container: bin↔frequency maps, band power, peaks |

@@ -25,37 +25,37 @@ use crate::fft::{ArbitraryFft, RealFft};
 use crate::DspError;
 
 /// Internal dispatch between the packed real-FFT and Bluestein
-/// engines, so PSD code accepts any FFT length (the paper uses 10⁴).
+/// engines, so PSD code accepts any FFT length.
 ///
-/// Power-of-two sizes run through [`RealFft`] — half the butterfly
-/// work and only the `N/2 + 1` one-sided bins ever materialized; other
-/// sizes fall back to Bluestein's full complex spectrum, of which the
-/// density pass reads the non-redundant half.
+/// Every size [`RealFft`] accepts runs through it — the powers of two
+/// and the even `2^a·5^c` sizes such as the paper's 10⁴: half the
+/// butterfly work, no convolution scratch, and only the `N/2 + 1`
+/// one-sided bins ever materialized. The remaining sizes fall back to
+/// Bluestein's full complex spectrum, of which the density pass reads
+/// the non-redundant half.
 #[derive(Debug, Clone)]
 pub(crate) enum AnyFft {
-    Pow2(RealFft),
+    Real(RealFft),
     Arbitrary(ArbitraryFft),
 }
 
 impl AnyFft {
+    /// Plans the engine for `n` points, chosen from the size alone.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DspError::InvalidFftSize`] for `n == 0`.
     pub(crate) fn new(n: usize) -> Result<Self, DspError> {
-        if n == 0 {
-            return Err(DspError::InvalidFftSize {
-                size: n,
-                reason: "fft size must be nonzero",
-            });
-        }
-        if n.is_power_of_two() {
-            Ok(AnyFft::Pow2(RealFft::new(n)?))
-        } else {
-            Ok(AnyFft::Arbitrary(ArbitraryFft::new(n)?))
+        match RealFft::new(n) {
+            Ok(real) => Ok(AnyFft::Real(real)),
+            Err(_) => Ok(AnyFft::Arbitrary(ArbitraryFft::new(n)?)),
         }
     }
 
     #[cfg(test)]
     pub(crate) fn size(&self) -> usize {
         match self {
-            AnyFft::Pow2(f) => f.size(),
+            AnyFft::Real(f) => f.size(),
             AnyFft::Arbitrary(f) => f.size(),
         }
     }
@@ -64,7 +64,7 @@ impl AnyFft {
     /// real engine, the convolution length for Bluestein).
     pub(crate) fn scratch_len(&self) -> usize {
         match self {
-            AnyFft::Pow2(_) => 0,
+            AnyFft::Real(_) => 0,
             AnyFft::Arbitrary(f) => f.scratch_len(),
         }
     }
@@ -74,7 +74,7 @@ impl AnyFft {
     /// Bluestein.
     pub(crate) fn spectrum_len(&self) -> usize {
         match self {
-            AnyFft::Pow2(f) => f.output_len(),
+            AnyFft::Real(f) => f.output_len(),
             AnyFft::Arbitrary(f) => f.size(),
         }
     }
@@ -90,7 +90,7 @@ impl AnyFft {
         out: &mut [Complex64],
     ) -> Result<(), DspError> {
         match self {
-            AnyFft::Pow2(f) => f.forward_into(x, out),
+            AnyFft::Real(f) => f.forward_into(x, out),
             AnyFft::Arbitrary(f) => f.forward_real_into(x, scratch, out),
         }
     }
@@ -140,10 +140,13 @@ mod tests {
 
     #[test]
     fn any_fft_dispatch() {
-        assert!(matches!(AnyFft::new(1024).unwrap(), AnyFft::Pow2(_)));
-        assert!(matches!(AnyFft::new(10_000).unwrap(), AnyFft::Arbitrary(_)));
+        assert!(matches!(AnyFft::new(1024).unwrap(), AnyFft::Real(_)));
+        assert!(matches!(AnyFft::new(10_000).unwrap(), AnyFft::Real(_)));
+        // 10 018 = 2·5 009 (prime): only Bluestein can take it.
+        assert!(matches!(AnyFft::new(10_018).unwrap(), AnyFft::Arbitrary(_)));
+        assert!(matches!(AnyFft::new(999).unwrap(), AnyFft::Arbitrary(_)));
         assert!(AnyFft::new(0).is_err());
-        assert_eq!(AnyFft::new(10_000).unwrap().size(), 10_000);
+        assert_eq!(AnyFft::new(10_018).unwrap().size(), 10_018);
     }
 
     #[test]

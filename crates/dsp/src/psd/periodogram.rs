@@ -63,7 +63,8 @@ impl PeriodogramConfig {
     }
 
     /// Computes the periodogram of `x` at `sample_rate` Hz; the FFT length
-    /// equals `x.len()` (any size — Bluestein handles non-powers of two).
+    /// equals `x.len()` (any size — Bluestein handles the sizes the real
+    /// FFT rejects).
     ///
     /// Plans the FFT per call; steady-state code should hold a
     /// [`DspWorkspace`] and use [`PeriodogramConfig::estimate_with`].

@@ -51,9 +51,10 @@ pub struct PsdPlan {
     /// accumulate straight into the caller's output, so no separate
     /// accumulator lives here).
     pub(crate) seg: Vec<f64>,
-    /// Complex spectrum buffer: the one-sided `n/2 + 1` bins for
-    /// power-of-two sizes (packed real FFT), the full `n` bins for
-    /// Bluestein sizes.
+    /// Complex spectrum buffer: the one-sided `n/2 + 1` bins for sizes
+    /// the packed real FFT takes (powers of two and even `2^a·5^c`,
+    /// the paper's 10⁴ among them), the full `n` bins for Bluestein
+    /// sizes.
     pub(crate) spec: Vec<Complex64>,
     /// FFT-internal scratch (empty for the packed real engine, the
     /// convolution length for Bluestein sizes).
@@ -181,16 +182,19 @@ mod tests {
     #[test]
     fn plan_buffers_match_fft_requirements() {
         let mut ws = DspWorkspace::new();
-        // Power of two: no Bluestein scratch, one-sided spectrum only.
-        let p = ws.plan(1024, Window::Hann).unwrap();
-        assert_eq!(p.size(), 1024);
-        assert_eq!(p.scratch.len(), 0);
-        assert_eq!(p.spec.len(), 513);
-        // The paper's 10⁴-point size goes through Bluestein, which
-        // needs the full spectrum buffer.
-        let p = ws.plan(10_000, Window::Hann).unwrap();
-        assert!(p.scratch.len() >= 2 * 10_000 - 1);
-        assert_eq!(p.spec.len(), 10_000);
+        // Power of two and the paper's 10⁴ = 2⁴·5⁴: packed real FFT, no
+        // Bluestein scratch, one-sided spectrum only.
+        for (n, bins) in [(1024, 513), (10_000, 5_001)] {
+            let p = ws.plan(n, Window::Hann).unwrap();
+            assert_eq!(p.size(), n);
+            assert_eq!(p.scratch.len(), 0);
+            assert_eq!(p.spec.len(), bins);
+        }
+        // 10 018 = 2·5 009 (prime) goes through Bluestein, which needs
+        // the full spectrum buffer.
+        let p = ws.plan(10_018, Window::Hann).unwrap();
+        assert!(p.scratch.len() >= 2 * 10_018 - 1);
+        assert_eq!(p.spec.len(), 10_018);
         assert_eq!(p.window(), Window::Hann);
     }
 

@@ -7,33 +7,37 @@
 //! the acceptance criterion of the batch-execution redesign: the Welch
 //! hot loop runs at memory-bandwidth speed with nothing for the
 //! allocator to do.
+//!
+//! The counter is per thread: libtest runs this binary's tests on
+//! concurrent threads, and only the measuring thread's allocations
+//! belong in its window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::cell::Cell;
 
 use nfbist_dsp::psd::{DspWorkspace, PeriodogramConfig, WelchConfig};
 use nfbist_dsp::window::Window;
 
-/// The allocation counter is process-global while libtest runs tests
-/// on concurrent threads, so every test body in this binary holds this
-/// lock: otherwise another test's setup allocations could land inside
-/// a measured window and fail the `count == 0` assertion spuriously.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serialize_test() -> MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Allocations made by the current thread. `const`-initialized and
+    /// without a destructor, so reading it never allocates.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
 
-// SAFETY-FREE NOTE: the allocator merely delegates to `System` and
-// bumps a counter; `unsafe` is confined to the required trait impl.
+fn count_allocation() {
+    // `try_with` fails only once the thread's locals are torn down; an
+    // allocation that late is outside every measured window.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, so
+// `System`'s guarantees hold; the counter touches only a thread-local
+// `Cell` and never allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
@@ -42,7 +46,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -50,10 +54,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Runs `f` and returns the allocations it made on this thread.
 fn allocations<R>(f: impl FnOnce() -> R) -> (usize, R) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     let out = f();
-    (ALLOCATIONS.load(Ordering::Relaxed) - before, out)
+    (ALLOCATIONS.with(Cell::get) - before, out)
 }
 
 fn noise(n: usize, seed: u64) -> Vec<f64> {
@@ -70,10 +75,10 @@ fn noise(n: usize, seed: u64) -> Vec<f64> {
 
 #[test]
 fn steady_state_welch_estimate_is_allocation_free() {
-    let _serial = serialize_test();
-    // Radix-2 and Bluestein (the paper's 10⁴-point size, scaled down
-    // to keep the test quick) both have to hold the property.
-    for nfft in [1_024usize, 1_000] {
+    // All three engines have to hold the property: radix-2 (1 024),
+    // mixed-radix (1 000 = 2³·5³, the paper's 10⁴ scaled down to keep
+    // the test quick) and Bluestein (1 018 = 2·509).
+    for nfft in [1_024usize, 1_000, 1_018] {
         let x = noise(20_000, 42);
         let cfg = WelchConfig::new(nfft).unwrap().window(Window::Hann);
         let mut ws = DspWorkspace::new();
@@ -95,7 +100,6 @@ fn steady_state_welch_estimate_is_allocation_free() {
 
 #[test]
 fn steady_state_detrended_welch_is_allocation_free() {
-    let _serial = serialize_test();
     let x = noise(10_000, 7);
     let cfg = WelchConfig::new(512).unwrap().detrend(true);
     let mut ws = DspWorkspace::new();
@@ -108,7 +112,6 @@ fn steady_state_detrended_welch_is_allocation_free() {
 
 #[test]
 fn steady_state_periodogram_is_allocation_free() {
-    let _serial = serialize_test();
     let x = noise(2_048, 3);
     let cfg = PeriodogramConfig::new().window(Window::Hann);
     let mut ws = DspWorkspace::new();
@@ -121,7 +124,6 @@ fn steady_state_periodogram_is_allocation_free() {
 
 #[test]
 fn allocating_entry_point_still_allocates_but_matches() {
-    let _serial = serialize_test();
     // Sanity check on the counter itself, and on result equivalence
     // between the two entry points.
     let x = noise(8_192, 11);
@@ -135,12 +137,11 @@ fn allocating_entry_point_still_allocates_but_matches() {
 
 #[test]
 fn steady_state_streaming_welch_push_is_allocation_free() {
-    let _serial = serialize_test();
     use nfbist_dsp::psd::StreamingWelch;
     // O(segment) memory means: once the carry, accumulator and plan
     // exist, pushing more chunks of a long record allocates nothing —
     // record length is a pure time cost.
-    for nfft in [1_024usize, 1_000] {
+    for nfft in [1_024usize, 1_000, 1_018] {
         let chunk = noise(1_777, 13);
         let cfg = WelchConfig::new(nfft).unwrap().window(Window::Hann);
         let mut sw = StreamingWelch::new(cfg, 20_000.0).unwrap();
@@ -173,12 +174,11 @@ fn steady_state_streaming_welch_push_is_allocation_free() {
 
 #[test]
 fn steady_state_sliding_welch_is_allocation_free() {
-    let _serial = serialize_test();
     use nfbist_dsp::psd::SlidingWelch;
     // The monitoring loop's hot path: the window ring is allocated up
     // front, so pushing chunks and emitting windowed estimates — long
     // after the ring has wrapped — costs the allocator nothing.
-    for nfft in [1_024usize, 1_000] {
+    for nfft in [1_024usize, 1_000, 1_018] {
         let chunk = noise(1_777, 17);
         let cfg = WelchConfig::new(nfft).unwrap().window(Window::Hann);
         let mut sw = SlidingWelch::new(cfg, 20_000.0, 6).unwrap();
@@ -205,9 +205,8 @@ fn steady_state_sliding_welch_is_allocation_free() {
 
 #[test]
 fn steady_state_forgetting_welch_is_allocation_free() {
-    let _serial = serialize_test();
     use nfbist_dsp::psd::ForgettingWelch;
-    for nfft in [1_024usize, 1_000] {
+    for nfft in [1_024usize, 1_000, 1_018] {
         let chunk = noise(1_777, 19);
         let cfg = WelchConfig::new(nfft).unwrap().window(Window::Hann);
         let mut fw = ForgettingWelch::new(cfg, 20_000.0, 0.9).unwrap();

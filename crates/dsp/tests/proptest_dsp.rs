@@ -21,6 +21,24 @@ fn pow2_len() -> impl Strategy<Value = usize> {
     (1u32..9).prop_map(|k| 1usize << k)
 }
 
+/// Sizes the packed real FFT takes, up to 2⁹: powers of two and even
+/// `2^a·5^c` sizes, `N ≡ 2 (mod 4)` ones included.
+const REAL_FFT_SIZES: [usize; 17] = [
+    1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 10, 20, 40, 50, 80, 250, 500,
+];
+
+/// The Welch segment length of size class `seg_pow` (5 to 8) for each
+/// engine: `0` the power of two `2^seg_pow` (radix-2), `1` an even
+/// `2^a·5^c` size (mixed-radix; 50 and 250 have an odd half), `2` the
+/// odd size `2^seg_pow − 7` (Bluestein).
+fn segment_len(engine: usize, seg_pow: u32) -> usize {
+    match engine {
+        0 => 1 << seg_pow,
+        1 => [50, 80, 250, 320][seg_pow as usize - 5],
+        _ => (1 << seg_pow) - 7,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -49,8 +67,11 @@ proptest! {
     }
 
     #[test]
-    fn real_fft_matches_naive_oracle(signal in finite_signal(128), k in 0u32..9) {
-        let n = 1usize << k;
+    fn real_fft_matches_naive_oracle(
+        signal in finite_signal(128),
+        size in 0..REAL_FFT_SIZES.len(),
+    ) {
+        let n = REAL_FFT_SIZES[size];
         let x: Vec<f64> = (0..n).map(|i| signal[i % signal.len()]).collect();
         let packed: Vec<Complex64> = x.iter().map(|&v| Complex64::from_real(v)).collect();
         let oracle = dft_naive(&packed);
@@ -85,9 +106,10 @@ proptest! {
 
     #[test]
     fn one_sided_psd_matches_naive_for_any_engine(signal in finite_signal(48), n in 2usize..48) {
-        // Exercises the one-sided density path through both FFT
-        // engines: power-of-two `n` takes the packed real FFT, other
-        // sizes take Bluestein's full spectrum.
+        // Exercises the one-sided density path through every FFT
+        // engine: powers of two and even `2^a·5^c` sizes (10, 20, 40)
+        // take the packed real FFT, other sizes Bluestein's full
+        // spectrum.
         let fs = 1_000.0;
         let x: Vec<f64> = (0..n).map(|i| signal[i % signal.len()]).collect();
         let psd = periodogram(&x, fs).unwrap();
@@ -233,24 +255,21 @@ proptest! {
 
     /// The chunked Welch accumulator must agree with the batch
     /// estimator to the last bit, for chunk sizes smaller than, equal
-    /// to, and non-divisors of the segment length (and across pow2 /
-    /// Bluestein segment sizes, windows, and detrending).
+    /// to, and non-divisors of the segment length (and across the
+    /// radix-2, mixed-radix and Bluestein engines, windows, and
+    /// detrending).
     #[test]
     fn streaming_welch_is_bitwise_equal_to_batch(
         signal in finite_signal(96),
         seg_pow in 5u32..9,
-        bluestein in any::<bool>(),
+        engine in 0usize..3,
         detrend in any::<bool>(),
         chunk_class in 0usize..3,
         jitter in 1usize..31,
     ) {
         use nfbist_dsp::psd::{StreamingWelch, WelchConfig};
 
-        let nfft = if bluestein {
-            (1usize << seg_pow) - 7 // odd size -> Bluestein engine
-        } else {
-            1usize << seg_pow
-        };
+        let nfft = segment_len(engine, seg_pow);
         let total = nfft * 5 + jitter; // several segments + ragged tail
         let x: Vec<f64> = (0..total).map(|i| signal[i % signal.len()]).collect();
         let chunk = match chunk_class {
@@ -276,13 +295,13 @@ proptest! {
     /// stream, its estimate equals a batch Welch run over **exactly the
     /// retained samples** to the last bit — for partially filled and
     /// wrapped windows, every chunking (smaller than, equal to, and a
-    /// non-divisor of the segment), pow2 and Bluestein segment sizes,
-    /// and every overlap class.
+    /// non-divisor of the segment), all three FFT engines, and every
+    /// overlap class.
     #[test]
     fn sliding_welch_is_bitwise_batch_over_retained_samples(
         signal in finite_signal(96),
         seg_pow in 5u32..9,
-        bluestein in any::<bool>(),
+        engine in 0usize..3,
         overlap_class in 0usize..4,
         window_segments in 1usize..6,
         total_mult in 1usize..6,
@@ -291,11 +310,7 @@ proptest! {
     ) {
         use nfbist_dsp::psd::{SlidingWelch, WelchConfig};
 
-        let nfft = if bluestein {
-            (1usize << seg_pow) - 7 // odd size -> Bluestein engine
-        } else {
-            1usize << seg_pow
-        };
+        let nfft = segment_len(engine, seg_pow);
         // Enough for 1..=5 whole segments plus a ragged tail, so the
         // window is exercised both before it fills and after it wraps.
         let total = nfft * total_mult + jitter;
@@ -335,7 +350,7 @@ proptest! {
     fn forgetting_welch_is_chunk_invariant_and_starts_at_batch(
         signal in finite_signal(96),
         seg_pow in 5u32..9,
-        bluestein in any::<bool>(),
+        engine in 0usize..3,
         lambda in 0.05f64..0.95,
         total_mult in 1usize..6,
         chunk_class in 0usize..3,
@@ -343,11 +358,7 @@ proptest! {
     ) {
         use nfbist_dsp::psd::{ForgettingWelch, WelchConfig};
 
-        let nfft = if bluestein {
-            (1usize << seg_pow) - 7
-        } else {
-            1usize << seg_pow
-        };
+        let nfft = segment_len(engine, seg_pow);
         let total = nfft * total_mult + jitter;
         let x: Vec<f64> = (0..total).map(|i| signal[i % signal.len()]).collect();
         let chunk = match chunk_class {

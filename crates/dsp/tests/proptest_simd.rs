@@ -239,8 +239,11 @@ proptest! {
     fn welch_estimate_is_bit_identical_across_forced_arms(
         x in prop::collection::vec(-10.0f64..10.0, 300..1200),
         detrend in any::<bool>(),
+        mixed_radix in any::<bool>(),
     ) {
-        let cfg = WelchConfig::new(128).unwrap().window(Window::Hann).detrend(detrend);
+        // 250 = 2·5³ runs the mixed-radix real FFT, 128 the radix-2 one.
+        let nfft = if mixed_radix { 250 } else { 128 };
+        let cfg = WelchConfig::new(nfft).unwrap().window(Window::Hann).detrend(detrend);
         let mut spectra = Vec::new();
         for &arm in simd::available_arms() {
             let psd = simd::with_forced_arm(arm, || cfg.estimate(&x, 1_000.0).unwrap());
