@@ -398,620 +398,6 @@ impl Bitstream {
     }
 }
 
-/// A chunked accumulator for the popcount lag kernels: lag products
-/// (and with them autocorrelations) of an arbitrarily long 1-bit stream
-/// in `O(max_lag)` memory.
-///
-/// The batch kernels ([`Bitstream::lag_product`],
-/// [`Bitstream::autocorrelation`]) need the whole packed record; this
-/// accumulator consumes it chunk by chunk, carrying only the last
-/// `max_lag` bits across chunk boundaries so boundary-straddling pairs
-/// are counted exactly once. Every count is an exact integer, so the
-/// result is **bit-identical** to the batch kernel over the
-/// concatenated stream — for any chunking, word-aligned or not.
-///
-/// # Examples
-///
-/// ```
-/// use nfbist_analog::bitstream::{Bitstream, StreamingLagAccumulator};
-/// use nfbist_dsp::correlation::Bias;
-///
-/// # fn main() -> Result<(), nfbist_analog::AnalogError> {
-/// let whole: Bitstream = (0..1_000).map(|i| i % 3 == 0).collect();
-/// let mut acc = StreamingLagAccumulator::new(4);
-/// // Push in ragged, non-word-aligned chunks.
-/// let bits: Vec<bool> = whole.iter().collect();
-/// for chunk in bits.chunks(77) {
-///     acc.push(&chunk.iter().copied().collect::<Bitstream>());
-/// }
-/// assert_eq!(
-///     acc.autocorrelation(Bias::Biased)?,
-///     whole.autocorrelation(4, Bias::Biased)?,
-/// );
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct StreamingLagAccumulator {
-    max_lag: usize,
-    /// The last `min(max_lag, len)` bits seen, for boundary pairs.
-    tail: Bitstream,
-    /// Differing-pair counts per lag `1..=max_lag` (`differing[k-1]`).
-    differing: Vec<u64>,
-    len: usize,
-    ones: usize,
-}
-
-impl StreamingLagAccumulator {
-    /// Creates an accumulator tracking lags `0..=max_lag`.
-    pub fn new(max_lag: usize) -> Self {
-        StreamingLagAccumulator {
-            max_lag,
-            tail: Bitstream::new(),
-            differing: vec![0; max_lag],
-            len: 0,
-            ones: 0,
-        }
-    }
-
-    /// The largest tracked lag.
-    pub fn max_lag(&self) -> usize {
-        self.max_lag
-    }
-
-    /// Total bits consumed so far.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` before any bit has been pushed.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Count of `true` bits consumed so far.
-    pub fn ones(&self) -> usize {
-        self.ones
-    }
-
-    /// Sum of the `±1` expansion of everything consumed so far.
-    pub fn bipolar_sum(&self) -> i64 {
-        2 * self.ones as i64 - self.len as i64
-    }
-
-    /// Consumes one chunk of the stream.
-    ///
-    /// Pairs that straddle the previous chunk boundary are counted
-    /// against the carried tail; pairs wholly inside the tail were
-    /// counted on an earlier push and are subtracted back out.
-    pub fn push(&mut self, chunk: &Bitstream) {
-        if chunk.is_empty() {
-            return;
-        }
-        // tail ++ chunk: every not-yet-counted pair for lags <= max_lag
-        // lives inside this window.
-        let mut ext = self.tail.clone();
-        ext.extend_from_bits(chunk.iter());
-        let count = |s: &Bitstream, lag: usize| s.xor_popcount_lag(lag).unwrap_or(0) as u64;
-        for lag in 1..=self.max_lag {
-            self.differing[lag - 1] += count(&ext, lag) - count(&self.tail, lag);
-        }
-        self.ones += chunk.ones();
-        self.len += chunk.len();
-        let keep = self.max_lag.min(ext.len());
-        self.tail = ext.iter().skip(ext.len() - keep).collect();
-    }
-
-    /// Sum of lag-`lag` products of the `±1` expansion of everything
-    /// consumed so far — the streaming counterpart of
-    /// [`Bitstream::lag_product`].
-    ///
-    /// Returns `None` when `lag >= len` or `lag > max_lag`.
-    pub fn lag_product(&self, lag: usize) -> Option<i64> {
-        if lag >= self.len || lag > self.max_lag {
-            return None;
-        }
-        if lag == 0 {
-            return Some(self.len as i64);
-        }
-        Some((self.len - lag) as i64 - 2 * self.differing[lag - 1] as i64)
-    }
-
-    /// Autocorrelation for lags `0..=max_lag`, bit-identical to
-    /// [`Bitstream::autocorrelation`] over the concatenated stream.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalogError::EmptyInput`] before any bit arrived and
-    /// [`AnalogError::InvalidParameter`] while `max_lag >= len`.
-    pub fn autocorrelation(&self, bias: Bias) -> Result<Vec<f64>, AnalogError> {
-        if self.is_empty() {
-            return Err(AnalogError::EmptyInput {
-                context: "bitstream autocorrelation",
-            });
-        }
-        if self.max_lag >= self.len {
-            return Err(AnalogError::InvalidParameter {
-                name: "max_lag",
-                reason: "must be smaller than the stream length",
-            });
-        }
-        let n = self.len;
-        Ok((0..=self.max_lag)
-            .map(|lag| {
-                let acc = self.lag_product(lag).expect("lag < len") as f64;
-                let denom = match bias {
-                    Bias::Biased => n as f64,
-                    Bias::Unbiased => (n - lag) as f64,
-                };
-                acc / denom
-            })
-            .collect())
-    }
-
-    /// Normalized autocorrelation `ρ[k] = R[k]/R[0]` (for ±1 samples,
-    /// identical to the biased autocorrelation) — the streaming side of
-    /// the arcsine-law readout.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`StreamingLagAccumulator::autocorrelation`].
-    pub fn normalized_autocorrelation(&self) -> Result<Vec<f64>, AnalogError> {
-        self.autocorrelation(Bias::Biased)
-    }
-}
-
-/// A sliding-window lag accumulator: lag products over exactly the
-/// last `window_bits` bits of the stream, older bits retired as new
-/// ones arrive.
-///
-/// Every count is an exact integer maintained incrementally (each new
-/// bit adds its pairs, each evicted bit subtracts the pairs it formed
-/// with its `max_lag` successors), so the result is **bit-identical**
-/// to [`Bitstream::lag_product`] / [`Bitstream::autocorrelation`] run
-/// over a batch copy of the retained bits — for any chunking of the
-/// pushes. The ring and count buffers are sized at construction;
-/// pushing never allocates.
-///
-/// # Examples
-///
-/// ```
-/// use nfbist_analog::bitstream::{Bitstream, SlidingLagAccumulator};
-///
-/// # fn main() -> Result<(), nfbist_analog::AnalogError> {
-/// let stream: Bitstream = (0..1_000).map(|i| i % 3 == 0).collect();
-/// let mut acc = SlidingLagAccumulator::new(4, 256)?;
-/// acc.push(&stream);
-/// // The window holds the last 256 bits; a batch kernel over exactly
-/// // those bits agrees on every lag product.
-/// let tail: Bitstream = stream.iter().skip(stream.len() - 256).collect();
-/// for lag in 0..=4 {
-///     assert_eq!(acc.lag_product(lag), tail.lag_product(lag));
-/// }
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct SlidingLagAccumulator {
-    max_lag: usize,
-    /// Circular window storage, `window_bits` capacity.
-    ring: Vec<bool>,
-    /// Index of the oldest retained bit.
-    start: usize,
-    /// Retained bit count, `min(pushed, window_bits)`.
-    filled: usize,
-    /// Differing-pair counts per lag `1..=max_lag` over the window.
-    differing: Vec<u64>,
-    /// `true` bits in the window.
-    ones: usize,
-    /// Total bits consumed over the whole stream.
-    pushed: usize,
-}
-
-impl SlidingLagAccumulator {
-    /// Creates an accumulator tracking lags `0..=max_lag` over the last
-    /// `window_bits` bits.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalogError::InvalidParameter`] unless
-    /// `window_bits > max_lag` (the batch kernel's `max_lag < len`
-    /// requirement, applied to the retained window).
-    pub fn new(max_lag: usize, window_bits: usize) -> Result<Self, AnalogError> {
-        if window_bits <= max_lag {
-            return Err(AnalogError::InvalidParameter {
-                name: "window_bits",
-                reason: "sliding window must be longer than max_lag",
-            });
-        }
-        Ok(SlidingLagAccumulator {
-            max_lag,
-            ring: vec![false; window_bits],
-            start: 0,
-            filled: 0,
-            differing: vec![0; max_lag],
-            ones: 0,
-            pushed: 0,
-        })
-    }
-
-    /// The largest tracked lag.
-    pub fn max_lag(&self) -> usize {
-        self.max_lag
-    }
-
-    /// The window capacity in bits.
-    pub fn window_bits(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// Bits currently retained (`min(pushed, window_bits)`).
-    pub fn len(&self) -> usize {
-        self.filled
-    }
-
-    /// `true` before any bit has been pushed.
-    pub fn is_empty(&self) -> bool {
-        self.filled == 0
-    }
-
-    /// Count of `true` bits in the window.
-    pub fn ones(&self) -> usize {
-        self.ones
-    }
-
-    /// Sum of the `±1` expansion of the window.
-    pub fn bipolar_sum(&self) -> i64 {
-        2 * self.ones as i64 - self.filled as i64
-    }
-
-    /// Total bits consumed over the whole stream, including retired
-    /// ones.
-    pub fn bits_seen(&self) -> usize {
-        self.pushed
-    }
-
-    /// Absolute positions `[start, end)` of the retained bits within
-    /// the pushed stream, or `None` before the first bit.
-    pub fn retained_range(&self) -> Option<(usize, usize)> {
-        if self.filled == 0 {
-            return None;
-        }
-        Some((self.pushed - self.filled, self.pushed))
-    }
-
-    /// A batch copy of the retained window, oldest bit first — the
-    /// record [`SlidingLagAccumulator::lag_product`] is exact against.
-    pub fn window_contents(&self) -> Bitstream {
-        (0..self.filled)
-            .map(|i| self.ring[(self.start + i) % self.ring.len()])
-            .collect()
-    }
-
-    fn push_bit(&mut self, bit: bool) {
-        let cap = self.ring.len();
-        if self.filled == cap {
-            // Evict the oldest bit: remove the pairs it forms with its
-            // successors still in the window.
-            let evicted = self.ring[self.start];
-            for lag in 1..=self.max_lag.min(self.filled - 1) {
-                if evicted != self.ring[(self.start + lag) % cap] {
-                    self.differing[lag - 1] -= 1;
-                }
-            }
-            if evicted {
-                self.ones -= 1;
-            }
-            self.start = (self.start + 1) % cap;
-            self.filled -= 1;
-        }
-        // Add the new bit: count the pairs it forms looking back.
-        for lag in 1..=self.max_lag.min(self.filled) {
-            if bit != self.ring[(self.start + self.filled - lag) % cap] {
-                self.differing[lag - 1] += 1;
-            }
-        }
-        self.ring[(self.start + self.filled) % cap] = bit;
-        self.filled += 1;
-        if bit {
-            self.ones += 1;
-        }
-        self.pushed += 1;
-    }
-
-    /// Consumes one chunk of the stream, retiring bits that fall out of
-    /// the window.
-    pub fn push(&mut self, chunk: &Bitstream) {
-        for bit in chunk.iter() {
-            self.push_bit(bit);
-        }
-    }
-
-    /// Sum of lag-`lag` products of the `±1` expansion of the window —
-    /// exact against [`Bitstream::lag_product`] on
-    /// [`SlidingLagAccumulator::window_contents`].
-    ///
-    /// Returns `None` when `lag >= len` or `lag > max_lag`.
-    pub fn lag_product(&self, lag: usize) -> Option<i64> {
-        if lag >= self.filled || lag > self.max_lag {
-            return None;
-        }
-        if lag == 0 {
-            return Some(self.filled as i64);
-        }
-        Some((self.filled - lag) as i64 - 2 * self.differing[lag - 1] as i64)
-    }
-
-    /// Autocorrelation of the window for lags `0..=max_lag`,
-    /// bit-identical to [`Bitstream::autocorrelation`] over the
-    /// retained bits.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalogError::EmptyInput`] before any bit arrived and
-    /// [`AnalogError::InvalidParameter`] while `max_lag >= len`.
-    pub fn autocorrelation(&self, bias: Bias) -> Result<Vec<f64>, AnalogError> {
-        if self.is_empty() {
-            return Err(AnalogError::EmptyInput {
-                context: "bitstream autocorrelation",
-            });
-        }
-        if self.max_lag >= self.filled {
-            return Err(AnalogError::InvalidParameter {
-                name: "max_lag",
-                reason: "must be smaller than the stream length",
-            });
-        }
-        let n = self.filled;
-        Ok((0..=self.max_lag)
-            .map(|lag| {
-                let acc = self.lag_product(lag).expect("lag < len") as f64;
-                let denom = match bias {
-                    Bias::Biased => n as f64,
-                    Bias::Unbiased => (n - lag) as f64,
-                };
-                acc / denom
-            })
-            .collect())
-    }
-
-    /// Normalized autocorrelation `ρ[k] = R[k]/R[0]` of the window.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SlidingLagAccumulator::autocorrelation`].
-    pub fn normalized_autocorrelation(&self) -> Result<Vec<f64>, AnalogError> {
-        self.autocorrelation(Bias::Biased)
-    }
-}
-
-/// An exponentially-forgetting lag accumulator: per-block lag products
-/// decayed by `lambda` at every completed block of `block_bits` bits,
-/// so the autocorrelation tracks the recent past with an effective
-/// depth of about `(1 + λ)/(1 - λ)` blocks.
-///
-/// Within a block every count is the same exact integer the streaming
-/// kernel produces ([`StreamingLagAccumulator`]'s extend-minus-tail
-/// counting); the decay is applied once per completed block, at an
-/// absolute stream position independent of chunking — so the readout is
-/// **bit-identical across chunk sizes**, like every streaming path in
-/// this workspace.
-///
-/// # Examples
-///
-/// ```
-/// use nfbist_analog::bitstream::{Bitstream, ForgettingLagAccumulator};
-///
-/// # fn main() -> Result<(), nfbist_analog::AnalogError> {
-/// let stream: Bitstream = (0..1_024).map(|i| i % 3 == 0).collect();
-/// let mut a = ForgettingLagAccumulator::new(4, 256, 0.5)?;
-/// let mut b = ForgettingLagAccumulator::new(4, 256, 0.5)?;
-/// a.push(&stream);
-/// let bits: Vec<bool> = stream.iter().collect();
-/// for chunk in bits.chunks(77) {
-///     b.push(&chunk.iter().copied().collect::<Bitstream>());
-/// }
-/// assert_eq!(a.lag_product(2), b.lag_product(2)); // chunking invisible
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct ForgettingLagAccumulator {
-    max_lag: usize,
-    block_bits: usize,
-    lambda: f64,
-    /// The last `min(max_lag, consumed)` completed-stream bits, for
-    /// pairs straddling block boundaries.
-    tail: Bitstream,
-    /// Bits of the current incomplete block.
-    partial: Bitstream,
-    /// Decayed lag-product sums per lag `1..=max_lag`.
-    weighted: Vec<f64>,
-    /// Decayed pair counts per lag (the unbiased denominators).
-    weight_pairs: Vec<f64>,
-    /// Decayed bit count (the lag-0 product and biased denominator).
-    weight_len: f64,
-    /// `Σ λ^j` over completed blocks.
-    weight: f64,
-    /// `Σ λ^{2j}`, for the effective depth.
-    weight_sq: f64,
-    blocks: usize,
-    /// Bits in completed blocks.
-    consumed: usize,
-    pushed: usize,
-}
-
-impl ForgettingLagAccumulator {
-    /// Creates an accumulator decaying by `lambda` every `block_bits`
-    /// bits.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalogError::InvalidParameter`] for a zero block
-    /// length or a `lambda` outside the open interval `(0, 1)`.
-    pub fn new(max_lag: usize, block_bits: usize, lambda: f64) -> Result<Self, AnalogError> {
-        if block_bits == 0 {
-            return Err(AnalogError::InvalidParameter {
-                name: "block_bits",
-                reason: "forgetting block must hold at least one bit",
-            });
-        }
-        if !(lambda > 0.0 && lambda < 1.0) {
-            return Err(AnalogError::InvalidParameter {
-                name: "lambda",
-                reason: "forgetting factor must lie in (0, 1)",
-            });
-        }
-        Ok(ForgettingLagAccumulator {
-            max_lag,
-            block_bits,
-            lambda,
-            tail: Bitstream::new(),
-            partial: Bitstream::new(),
-            weighted: vec![0.0; max_lag],
-            weight_pairs: vec![0.0; max_lag],
-            weight_len: 0.0,
-            weight: 0.0,
-            weight_sq: 0.0,
-            blocks: 0,
-            consumed: 0,
-            pushed: 0,
-        })
-    }
-
-    /// The largest tracked lag.
-    pub fn max_lag(&self) -> usize {
-        self.max_lag
-    }
-
-    /// The decay block length in bits.
-    pub fn block_bits(&self) -> usize {
-        self.block_bits
-    }
-
-    /// The per-block decay factor.
-    pub fn lambda(&self) -> f64 {
-        self.lambda
-    }
-
-    /// Completed blocks so far.
-    pub fn blocks_seen(&self) -> usize {
-        self.blocks
-    }
-
-    /// Total bits consumed (including the current partial block).
-    pub fn bits_seen(&self) -> usize {
-        self.pushed
-    }
-
-    /// The equivalent number of equally-weighted blocks,
-    /// `(Σλ^j)² / Σλ^{2j}` — 0 before the first completed block,
-    /// growing toward `(1 + λ)/(1 - λ)`.
-    pub fn effective_blocks(&self) -> f64 {
-        if self.blocks == 0 {
-            return 0.0;
-        }
-        self.weight * self.weight / self.weight_sq
-    }
-
-    fn complete_block(&mut self) {
-        let t = self.tail.len();
-        let b = self.partial.len();
-        let mut ext = self.tail.clone();
-        ext.extend_from_bits(self.partial.iter());
-        let count = |s: &Bitstream, lag: usize| s.xor_popcount_lag(lag).unwrap_or(0) as u64;
-        for lag in 1..=self.max_lag {
-            // Pairs whose second element lies in this block: second
-            // index ranges over [max(t, lag), t + b).
-            let pairs = (t + b).saturating_sub(t.max(lag));
-            let diff = count(&ext, lag) - count(&self.tail, lag);
-            let contrib = pairs as i64 - 2 * diff as i64;
-            self.weighted[lag - 1] = self.lambda * self.weighted[lag - 1] + contrib as f64;
-            self.weight_pairs[lag - 1] = self.lambda * self.weight_pairs[lag - 1] + pairs as f64;
-        }
-        self.weight_len = self.lambda * self.weight_len + b as f64;
-        self.weight = self.lambda * self.weight + 1.0;
-        self.weight_sq = self.lambda * self.lambda * self.weight_sq + 1.0;
-        self.blocks += 1;
-        self.consumed += b;
-        let keep = self.max_lag.min(ext.len());
-        self.tail = ext.iter().skip(ext.len() - keep).collect();
-        self.partial = Bitstream::new();
-    }
-
-    /// Consumes one chunk of the stream; every block boundary the chunk
-    /// crosses applies one decay step.
-    pub fn push(&mut self, chunk: &Bitstream) {
-        for bit in chunk.iter() {
-            self.partial.push(bit);
-            self.pushed += 1;
-            if self.partial.len() == self.block_bits {
-                self.complete_block();
-            }
-        }
-    }
-
-    /// Decayed sum of lag-`lag` products over completed blocks (newer
-    /// blocks weighted more). Lag 0 returns the decayed bit count.
-    ///
-    /// Returns `None` when `lag >= consumed bits` or `lag > max_lag`.
-    pub fn lag_product(&self, lag: usize) -> Option<f64> {
-        if lag >= self.consumed || lag > self.max_lag {
-            return None;
-        }
-        if lag == 0 {
-            return Some(self.weight_len);
-        }
-        Some(self.weighted[lag - 1])
-    }
-
-    /// Forgetting autocorrelation for lags `0..=max_lag`: decayed lag
-    /// products over decayed denominators (bit count for
-    /// [`Bias::Biased`], per-lag pair count for [`Bias::Unbiased`]).
-    /// With a single completed block this is exactly the batch
-    /// autocorrelation of that block.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalogError::EmptyInput`] before the first completed
-    /// block and [`AnalogError::InvalidParameter`] while
-    /// `max_lag >= consumed bits`.
-    pub fn autocorrelation(&self, bias: Bias) -> Result<Vec<f64>, AnalogError> {
-        if self.blocks == 0 {
-            return Err(AnalogError::EmptyInput {
-                context: "bitstream autocorrelation",
-            });
-        }
-        if self.max_lag >= self.consumed {
-            return Err(AnalogError::InvalidParameter {
-                name: "max_lag",
-                reason: "must be smaller than the stream length",
-            });
-        }
-        Ok((0..=self.max_lag)
-            .map(|lag| {
-                if lag == 0 {
-                    return 1.0;
-                }
-                let denom = match bias {
-                    Bias::Biased => self.weight_len,
-                    Bias::Unbiased => self.weight_pairs[lag - 1],
-                };
-                self.weighted[lag - 1] / denom
-            })
-            .collect())
-    }
-
-    /// Normalized forgetting autocorrelation `ρ[k] = R[k]/R[0]`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ForgettingLagAccumulator::autocorrelation`].
-    pub fn normalized_autocorrelation(&self) -> Result<Vec<f64>, AnalogError> {
-        self.autocorrelation(Bias::Biased)
-    }
-}
-
 impl FromIterator<bool> for Bitstream {
     fn from_iter<I: IntoIterator<Item = bool>>(iter: I) -> Self {
         let mut bs = Bitstream::new();
@@ -1238,198 +624,5 @@ mod tests {
             random_bits(11, 2).into_iter().collect::<Bitstream>(),
         ];
         assert!(Bitstream::expand_many_bipolar(&ragged).is_err());
-    }
-}
-
-#[cfg(test)]
-mod streaming_lag_tests {
-    use super::*;
-
-    fn pseudo_stream(n: usize, seed: u64) -> Bitstream {
-        let mut state = seed;
-        (0..n)
-            .map(|_| {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                (state >> 33) & 1 == 1
-            })
-            .collect()
-    }
-
-    #[test]
-    fn chunked_lag_products_are_bit_exact() {
-        let whole = pseudo_stream(5_000, 9);
-        let bits: Vec<bool> = whole.iter().collect();
-        // Word-aligned, ragged, tiny and huge chunkings all agree.
-        for chunk in [1usize, 63, 64, 65, 777, 5_000] {
-            let mut acc = StreamingLagAccumulator::new(16);
-            for c in bits.chunks(chunk) {
-                acc.push(&c.iter().copied().collect::<Bitstream>());
-            }
-            assert_eq!(acc.len(), whole.len());
-            assert_eq!(acc.ones(), whole.ones());
-            assert_eq!(acc.bipolar_sum(), whole.bipolar_sum());
-            for lag in 0..=16 {
-                assert_eq!(
-                    acc.lag_product(lag),
-                    whole.lag_product(lag),
-                    "chunk {chunk} lag {lag}"
-                );
-            }
-            assert_eq!(
-                acc.autocorrelation(Bias::Unbiased).unwrap(),
-                whole.autocorrelation(16, Bias::Unbiased).unwrap(),
-                "chunk {chunk}"
-            );
-            assert_eq!(
-                acc.normalized_autocorrelation().unwrap(),
-                whole.normalized_autocorrelation(16).unwrap(),
-            );
-        }
-    }
-
-    #[test]
-    fn error_and_edge_semantics_mirror_the_batch_kernel() {
-        let mut acc = StreamingLagAccumulator::new(4);
-        assert!(acc.is_empty());
-        assert!(acc.autocorrelation(Bias::Biased).is_err(), "empty");
-        assert_eq!(acc.lag_product(0), None);
-        acc.push(&Bitstream::new()); // empty chunk is a no-op
-        assert!(acc.is_empty());
-        acc.push(&pseudo_stream(3, 1));
-        // max_lag >= len still errors, like the batch kernel.
-        assert!(acc.autocorrelation(Bias::Biased).is_err());
-        acc.push(&pseudo_stream(10, 2));
-        assert!(acc.autocorrelation(Bias::Biased).is_ok());
-        assert_eq!(acc.max_lag(), 4);
-        // Lags beyond the configured window are not tracked.
-        assert_eq!(acc.lag_product(5), None);
-    }
-
-    #[test]
-    fn sliding_window_is_exact_against_batch_on_retained_bits() {
-        let whole = pseudo_stream(3_000, 41);
-        let bits: Vec<bool> = whole.iter().collect();
-        for window in [17usize, 64, 500] {
-            for chunk in [1usize, 63, 64, 65, 777, 3_000] {
-                let mut acc = SlidingLagAccumulator::new(8, window).unwrap();
-                for c in bits.chunks(chunk) {
-                    acc.push(&c.iter().copied().collect::<Bitstream>());
-                }
-                assert_eq!(acc.bits_seen(), bits.len());
-                assert_eq!(acc.len(), window.min(bits.len()));
-                let (start, end) = acc.retained_range().unwrap();
-                let tail: Bitstream = bits[start..end].iter().copied().collect();
-                assert_eq!(acc.window_contents(), tail);
-                assert_eq!(acc.ones(), tail.ones());
-                assert_eq!(acc.bipolar_sum(), tail.bipolar_sum());
-                for lag in 0..=8 {
-                    assert_eq!(
-                        acc.lag_product(lag),
-                        tail.lag_product(lag),
-                        "window {window} chunk {chunk} lag {lag}"
-                    );
-                }
-                assert_eq!(
-                    acc.autocorrelation(Bias::Unbiased).unwrap(),
-                    tail.autocorrelation(8, Bias::Unbiased).unwrap(),
-                );
-                assert_eq!(
-                    acc.normalized_autocorrelation().unwrap(),
-                    tail.normalized_autocorrelation(8).unwrap(),
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sliding_window_edge_semantics() {
-        assert!(
-            SlidingLagAccumulator::new(8, 8).is_err(),
-            "window too short"
-        );
-        let mut acc = SlidingLagAccumulator::new(4, 32).unwrap();
-        assert!(acc.is_empty());
-        assert!(acc.retained_range().is_none());
-        assert!(acc.autocorrelation(Bias::Biased).is_err(), "empty");
-        acc.push(&pseudo_stream(3, 1));
-        assert!(acc.autocorrelation(Bias::Biased).is_err(), "len <= max_lag");
-        acc.push(&pseudo_stream(40, 2));
-        assert_eq!(acc.len(), 32);
-        assert_eq!(acc.window_bits(), 32);
-        assert_eq!(acc.max_lag(), 4);
-        assert!(acc.autocorrelation(Bias::Biased).is_ok());
-        assert_eq!(acc.lag_product(5), None, "beyond max_lag");
-    }
-
-    #[test]
-    fn forgetting_lags_are_chunk_invariant_bitwise() {
-        let whole = pseudo_stream(4_096, 51);
-        let bits: Vec<bool> = whole.iter().collect();
-        let mut reference = ForgettingLagAccumulator::new(8, 512, 0.75).unwrap();
-        reference.push(&whole);
-        let want = reference.autocorrelation(Bias::Biased).unwrap();
-        for chunk in [1usize, 63, 512, 513, 777] {
-            let mut acc = ForgettingLagAccumulator::new(8, 512, 0.75).unwrap();
-            for c in bits.chunks(chunk) {
-                acc.push(&c.iter().copied().collect::<Bitstream>());
-            }
-            assert_eq!(acc.blocks_seen(), reference.blocks_seen());
-            for lag in 0..=8 {
-                assert_eq!(
-                    acc.lag_product(lag).map(f64::to_bits),
-                    reference.lag_product(lag).map(f64::to_bits),
-                    "chunk {chunk} lag {lag}"
-                );
-            }
-            let got = acc.autocorrelation(Bias::Biased).unwrap();
-            let as_bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(as_bits(&got), as_bits(&want), "chunk {chunk}");
-        }
-    }
-
-    #[test]
-    fn forgetting_single_block_matches_batch() {
-        let block = pseudo_stream(512, 61);
-        let mut acc = ForgettingLagAccumulator::new(8, 512, 0.5).unwrap();
-        acc.push(&block);
-        assert_eq!(acc.blocks_seen(), 1);
-        assert_eq!(acc.effective_blocks(), 1.0);
-        for bias in [Bias::Biased, Bias::Unbiased] {
-            assert_eq!(
-                acc.autocorrelation(bias).unwrap(),
-                block.autocorrelation(8, bias).unwrap(),
-            );
-        }
-    }
-
-    #[test]
-    fn forgetting_validation_and_depth() {
-        assert!(ForgettingLagAccumulator::new(4, 0, 0.5).is_err());
-        assert!(ForgettingLagAccumulator::new(4, 64, 0.0).is_err());
-        assert!(ForgettingLagAccumulator::new(4, 64, 1.0).is_err());
-        let mut acc = ForgettingLagAccumulator::new(4, 64, 0.5).unwrap();
-        assert_eq!(acc.effective_blocks(), 0.0);
-        assert!(acc.autocorrelation(Bias::Biased).is_err(), "no block yet");
-        acc.push(&pseudo_stream(64 * 50, 3));
-        let depth = acc.effective_blocks();
-        let asymptote = (1.0 + 0.5) / (1.0 - 0.5);
-        assert!((depth - asymptote).abs() < 1e-6, "depth {depth}");
-        assert_eq!(acc.block_bits(), 64);
-        assert_eq!(acc.lambda(), 0.5);
-    }
-
-    #[test]
-    fn matches_float_reference_on_expanded_stream() {
-        let whole = pseudo_stream(2_000, 33);
-        let mut acc = StreamingLagAccumulator::new(8);
-        let bits: Vec<bool> = whole.iter().collect();
-        for c in bits.chunks(131) {
-            acc.push(&c.iter().copied().collect::<Bitstream>());
-        }
-        let float_ref =
-            nfbist_dsp::correlation::autocorrelation(&whole.to_bipolar(), 8, Bias::Biased).unwrap();
-        assert_eq!(acc.autocorrelation(Bias::Biased).unwrap(), float_ref);
     }
 }

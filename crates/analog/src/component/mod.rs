@@ -1,9 +1,9 @@
 //! Behavioural analog blocks: amplifiers, attenuators, summers and
 //! multiplexers.
 //!
-//! Blocks process sample buffers and can be chained; they model the
-//! signal path of the paper's prototype (Fig. 11): noise generator →
-//! attenuator → DUT → post-amplifier → comparator.
+//! Blocks process sample buffers; they model the signal path of the
+//! paper's prototype (Fig. 11): noise generator → attenuator → DUT →
+//! post-amplifier → comparator.
 
 mod amplifier;
 mod attenuator;
@@ -17,7 +17,7 @@ pub use summer::sum_signals;
 
 /// A stateful signal-processing block.
 ///
-/// Object-safe so a signal chain can hold heterogeneous stages.
+/// Object-safe so a signal path can hold heterogeneous stages.
 pub trait Block {
     /// Processes a buffer of input samples into output samples.
     fn process(&mut self, input: &[f64]) -> Vec<f64>;
@@ -28,111 +28,5 @@ pub trait Block {
     /// Small-signal mid-band voltage gain of the block.
     fn nominal_gain(&self) -> f64 {
         1.0
-    }
-}
-
-/// A chain of blocks applied in sequence.
-///
-/// # Examples
-///
-/// ```
-/// use nfbist_analog::component::{Amplifier, Attenuator, Block, Chain};
-///
-/// # fn main() -> Result<(), nfbist_analog::AnalogError> {
-/// let mut chain = Chain::new();
-/// chain.push(Box::new(Attenuator::from_db(20.0)?)); // ÷10
-/// chain.push(Box::new(Amplifier::ideal(100.0)?));   // ×100
-/// let y = chain.process(&[1.0]);
-/// assert!((y[0] - 10.0).abs() < 1e-12);
-/// assert!((chain.nominal_gain() - 10.0).abs() < 1e-12);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Default)]
-pub struct Chain {
-    stages: Vec<Box<dyn Block>>,
-}
-
-impl std::fmt::Debug for Chain {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Chain")
-            .field("stages", &self.stages.len())
-            .finish()
-    }
-}
-
-impl Chain {
-    /// Creates an empty chain (identity).
-    pub fn new() -> Self {
-        Chain { stages: Vec::new() }
-    }
-
-    /// Appends a stage.
-    pub fn push(&mut self, block: Box<dyn Block>) {
-        self.stages.push(block);
-    }
-
-    /// Number of stages.
-    pub fn len(&self) -> usize {
-        self.stages.len()
-    }
-
-    /// `true` if the chain has no stages.
-    pub fn is_empty(&self) -> bool {
-        self.stages.is_empty()
-    }
-}
-
-impl Block for Chain {
-    fn process(&mut self, input: &[f64]) -> Vec<f64> {
-        let mut buf = input.to_vec();
-        for stage in &mut self.stages {
-            buf = stage.process(&buf);
-        }
-        buf
-    }
-
-    fn reset(&mut self) {
-        for stage in &mut self.stages {
-            stage.reset();
-        }
-    }
-
-    fn nominal_gain(&self) -> f64 {
-        self.stages.iter().map(|s| s.nominal_gain()).product()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    struct Doubler;
-    impl Block for Doubler {
-        fn process(&mut self, input: &[f64]) -> Vec<f64> {
-            input.iter().map(|v| v * 2.0).collect()
-        }
-        fn nominal_gain(&self) -> f64 {
-            2.0
-        }
-    }
-
-    #[test]
-    fn empty_chain_is_identity() {
-        let mut c = Chain::new();
-        assert!(c.is_empty());
-        assert_eq!(c.process(&[1.0, -2.0]), vec![1.0, -2.0]);
-        assert_eq!(c.nominal_gain(), 1.0);
-    }
-
-    #[test]
-    fn chain_composes_in_order() {
-        let mut c = Chain::new();
-        c.push(Box::new(Doubler));
-        c.push(Box::new(Doubler));
-        assert_eq!(c.len(), 2);
-        assert_eq!(c.process(&[1.0]), vec![4.0]);
-        assert_eq!(c.nominal_gain(), 4.0);
-        c.reset(); // must not panic
     }
 }

@@ -211,6 +211,29 @@ mod tests {
     }
 
     #[test]
+    fn a_replaced_converter_sets_resolution_range_and_gain() {
+        let d = AdcDigitizer::new(12)
+            .unwrap()
+            .with_adc(Adc::new(8, 2.0).unwrap());
+        assert_eq!(d.adc().bits(), 8);
+        assert_eq!(d.bits_per_sample(), 8);
+        assert!(d.label().starts_with("8-bit"));
+        // The conditioning gain targets the new full scale.
+        assert!((d.frontend_gain(0.1, 1.0).unwrap() - 0.2 * 2.0 / 0.1).abs() < 1e-12);
+        // Every acquired sample sits on a code centre of the 8-bit,
+        // ±2 V grid.
+        let x: Vec<f64> = (0..200).map(|i| 2.5 * (i as f64 * 0.13).sin()).collect();
+        let samples = d.acquire(&x, &[]).unwrap().to_samples();
+        let lsb = d.adc().lsb();
+        assert_eq!(lsb, 4.0 / 256.0);
+        for v in &samples {
+            let code = (v + 2.0) / lsb - 0.5;
+            assert!((code - code.round()).abs() < 1e-9, "{v} is off the grid");
+            assert!((0.0..256.0).contains(&code.round()));
+        }
+    }
+
+    #[test]
     fn record_memory_dwarfs_one_bit() {
         use crate::converter::OneBitDigitizer;
         let n = 8_192;

@@ -9,11 +9,11 @@
 //!
 //! * [`units`] / [`constants`] — physical quantities ([`units::Kelvin`],
 //!   [`units::Ohms`], …) and the Boltzmann constant / 290 K reference.
-//! * [`noise`] — white Gaussian synthesis, Johnson–Nyquist thermal noise,
-//!   arbitrary-PSD shaped noise, 1/f noise, and the calibrated hot/cold
-//!   [`noise::CalibratedNoiseSource`] the Y-factor method requires.
-//! * [`source`] — deterministic waveforms (sine, square with optional
-//!   harmonic truncation, arbitrary tables) for the reference input.
+//! * [`noise`] — white Gaussian synthesis, arbitrary-PSD shaped noise,
+//!   and the calibrated hot/cold [`noise::CalibratedNoiseSource`] the
+//!   Y-factor method requires.
+//! * [`source`] — deterministic waveforms (sine, and square with
+//!   optional harmonic truncation) for the reference input.
 //! * [`opamp`] — datasheet-style op-amp noise models (`en`, `in`, 1/f
 //!   corners) with the paper's four parts built in.
 //! * [`circuits`] — the non-inverting amplifier DUT with full

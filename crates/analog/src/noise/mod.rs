@@ -1,20 +1,15 @@
-//! Noise synthesis: white Gaussian, thermal (Johnson–Nyquist),
-//! arbitrary-PSD shaped, 1/f, and the calibrated hot/cold source the
-//! Y-factor method requires.
+//! Noise synthesis: white Gaussian, arbitrary-PSD shaped, and the
+//! calibrated hot/cold source the Y-factor method requires.
 //!
 //! All generators are seeded explicitly so every experiment in the
 //! reproduction is deterministic.
 
 mod calibrated;
-mod pink;
 mod shaped;
-mod thermal;
 mod white;
 
 pub use calibrated::{CalibratedNoiseSource, NoiseSourceState};
-pub use pink::PinkNoise;
 pub use shaped::ShapedNoise;
-pub use thermal::ThermalNoise;
 pub use white::WhiteNoise;
 
 use rand::Rng;

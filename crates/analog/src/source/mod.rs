@@ -88,112 +88,13 @@ pub trait Waveform {
     }
 }
 
-/// A waveform defined by a lookup table, repeated cyclically.
-///
-/// # Examples
-///
-/// ```
-/// use nfbist_analog::source::{ArbitrarySource, Waveform};
-///
-/// # fn main() -> Result<(), nfbist_analog::AnalogError> {
-/// let w = ArbitrarySource::new(vec![0.0, 1.0, 0.0, -1.0], 100.0)?;
-/// assert_eq!(w.frequency(), 100.0);
-/// let x = w.generate(8, 400.0)?;
-/// assert_eq!(x, vec![0.0, 1.0, 0.0, -1.0, 0.0, 1.0, 0.0, -1.0]);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct ArbitrarySource {
-    table: Vec<f64>,
-    frequency: f64,
-}
-
-impl ArbitrarySource {
-    /// Creates a source that replays `table` at `frequency` cycles per
-    /// second (one table pass per cycle).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalogError::EmptyInput`] for an empty table and
-    /// [`AnalogError::InvalidParameter`] for a non-positive frequency.
-    pub fn new(table: Vec<f64>, frequency: f64) -> Result<Self, AnalogError> {
-        if table.is_empty() {
-            return Err(AnalogError::EmptyInput {
-                context: "arbitrary source table",
-            });
-        }
-        if !(frequency > 0.0) || !frequency.is_finite() {
-            return Err(AnalogError::InvalidParameter {
-                name: "frequency",
-                reason: "must be positive and finite",
-            });
-        }
-        Ok(ArbitrarySource { table, frequency })
-    }
-
-    /// The lookup table.
-    pub fn table(&self) -> &[f64] {
-        &self.table
-    }
-}
-
-impl Waveform for ArbitrarySource {
-    fn value_at(&self, t: f64) -> f64 {
-        let phase = (t * self.frequency).rem_euclid(1.0);
-        let idx = (phase * self.table.len() as f64) as usize % self.table.len();
-        self.table[idx]
-    }
-
-    fn frequency(&self) -> f64 {
-        self.frequency
-    }
-
-    fn fundamental_amplitude(&self) -> f64 {
-        // First Fourier coefficient magnitude of the table.
-        let n = self.table.len() as f64;
-        let (mut re, mut im) = (0.0, 0.0);
-        for (i, &v) in self.table.iter().enumerate() {
-            let theta = std::f64::consts::TAU * i as f64 / n;
-            re += v * theta.cos();
-            im += v * theta.sin();
-        }
-        2.0 * (re.hypot(im)) / n
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn arbitrary_validation() {
-        assert!(ArbitrarySource::new(vec![], 100.0).is_err());
-        assert!(ArbitrarySource::new(vec![1.0], 0.0).is_err());
-        assert!(ArbitrarySource::new(vec![1.0], f64::NAN).is_err());
-    }
-
-    #[test]
-    fn arbitrary_replays_table() {
-        let w = ArbitrarySource::new(vec![1.0, 2.0], 1.0).unwrap();
-        let x = w.generate(4, 2.0).unwrap();
-        assert_eq!(x, vec![1.0, 2.0, 1.0, 2.0]);
-        assert_eq!(w.table(), &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn arbitrary_fundamental_of_sine_table() {
-        let n = 256;
-        let table: Vec<f64> = (0..n)
-            .map(|i| 3.0 * (std::f64::consts::TAU * i as f64 / n as f64).sin())
-            .collect();
-        let w = ArbitrarySource::new(table, 50.0).unwrap();
-        assert!((w.fundamental_amplitude() - 3.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn generate_rejects_bad_rate() {
-        let w = ArbitrarySource::new(vec![1.0], 10.0).unwrap();
+        let w = SineSource::new(10.0, 1.0).unwrap();
         assert!(w.generate(4, 0.0).is_err());
     }
 
@@ -202,7 +103,6 @@ mod tests {
         let sources: Vec<Box<dyn Waveform>> = vec![
             Box::new(SineSource::new(100.0, 1.0).unwrap()),
             Box::new(SquareSource::new(100.0, 1.0).unwrap()),
-            Box::new(ArbitrarySource::new(vec![0.5], 100.0).unwrap()),
         ];
         for s in &sources {
             assert!(s.frequency() > 0.0);

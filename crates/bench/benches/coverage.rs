@@ -8,7 +8,7 @@ use nfbist_analog::circuits::NonInvertingAmplifier;
 use nfbist_analog::fault::{AnalogFault, FaultyDut};
 use nfbist_analog::opamp::OpampModel;
 use nfbist_analog::units::Ohms;
-use nfbist_runtime::{BatchExecutor, BatchPlan};
+use nfbist_runtime::{BatchPlan, WorkQueue};
 use nfbist_soc::coverage::{CoverageCampaign, FaultUniverse};
 use nfbist_soc::screening::Screen;
 use nfbist_soc::session::MeasurementSession;
@@ -47,7 +47,7 @@ fn small_campaign() -> CoverageCampaign {
 fn bench_campaign_throughput(c: &mut Criterion) {
     let campaign = small_campaign();
     let cells = campaign.cell_count() as u64;
-    let all_cores = BatchExecutor::with_available_parallelism().workers();
+    let all_cores = WorkQueue::with_available_parallelism().workers();
 
     let mut group = c.benchmark_group("coverage");
     group.sample_size(10);

@@ -15,7 +15,7 @@ use nfbist_analog::noise::WhiteNoise;
 use nfbist_core::power_ratio::PsdRatioEstimator;
 use nfbist_dsp::psd::{DspWorkspace, WelchConfig};
 use nfbist_runtime::batch::{derive_seed, BatchPlan};
-use nfbist_runtime::BatchExecutor;
+use nfbist_runtime::WorkQueue;
 use nfbist_soc::session::MeasurementSession;
 use nfbist_soc::setup::BistSetup;
 
@@ -68,7 +68,7 @@ fn bench_batch_throughput(c: &mut Criterion) {
             .estimator(estimator))
     };
 
-    let all_cores = BatchExecutor::with_available_parallelism().workers();
+    let all_cores = WorkQueue::with_available_parallelism().workers();
     let mut group = c.benchmark_group("monte_carlo_batch");
     group.throughput(Throughput::Elements(trials as u64));
     for workers in [1usize, all_cores.max(2)] {

@@ -86,6 +86,7 @@ use std::time::Instant;
 use nfbist_analog::bitstream::Bitstream;
 use nfbist_analog::converter::OneBitDigitizer;
 use nfbist_analog::noise::WhiteNoise;
+use nfbist_bench::peak_rss_bytes;
 use nfbist_dsp::complex::Complex64;
 use nfbist_dsp::correlation::{autocorrelation, Bias};
 use nfbist_dsp::fft::{ArbitraryFft, Fft, RealFft};
@@ -178,16 +179,6 @@ impl WelchComplexBaseline {
             *o *= inv;
         }
     }
-}
-
-/// Peak resident set size (`VmHWM`) in bytes, when the platform
-/// exposes it (Linux `/proc`); `None` elsewhere — the RSS proof is
-/// then skipped, the timing comparison still runs.
-fn peak_rss_bytes() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
-    Some(kb * 1024)
 }
 
 /// A small wafer-lot screening for the fleet case: defects over a

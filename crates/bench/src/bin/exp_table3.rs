@@ -39,7 +39,7 @@ fn main() {
     let paper_measured = [3.69, 4.841, 9.698, 14.02];
 
     // One batch cell per op-amp row; cell order is preserved by the
-    // executor, so the table rows come back in the paper's order.
+    // batch plan, so the table rows come back in the paper's order.
     let cells: Vec<_> = OpampModel::paper_set()
         .into_iter()
         .enumerate()

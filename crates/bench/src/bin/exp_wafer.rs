@@ -29,7 +29,7 @@ use nfbist_analog::circuits::NonInvertingAmplifier;
 use nfbist_analog::opamp::OpampModel;
 use nfbist_analog::units::Ohms;
 use nfbist_analog::wafer::{DefectModel, Lot, ProcessVariation, WaferMap};
-use nfbist_bench::{budget_flag, chaos_flag, dies_flag, quick_flag, workers_flag};
+use nfbist_bench::{budget_flag, chaos_flag, dies_flag, peak_rss_bytes, quick_flag, workers_flag};
 use nfbist_runtime::chaos::{install_quiet_panic_hook, ChaosConfig};
 use nfbist_runtime::fleet::FleetPlan;
 use nfbist_runtime::supervisor::TaskPolicy;
@@ -49,14 +49,6 @@ fn grid_for_dies(target: usize) -> Result<usize, Box<dyn Error>> {
         grid += 1;
     }
     Ok(grid)
-}
-
-/// Peak resident set size (`VmHWM`) in bytes where `/proc` exposes it.
-fn peak_rss_bytes() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
-    Some(kb * 1024)
 }
 
 fn build_screening(

@@ -198,15 +198,10 @@ pub fn adaptive_flag() -> bool {
 /// Parses `--workers N` (the batch-engine worker count); defaults to
 /// the machine's available parallelism when absent or malformed.
 pub fn workers_flag() -> usize {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--workers" {
-            if let Some(n) = args.next().and_then(|v| v.parse::<usize>().ok()) {
-                return n.max(1);
-            }
-        }
-    }
-    nfbist_runtime::BatchExecutor::with_available_parallelism().workers()
+    parse_value_flag("--workers").map_or_else(
+        || nfbist_runtime::WorkQueue::with_available_parallelism().workers(),
+        |n: usize| n.max(1),
+    )
 }
 
 /// Parses `--dies N` (a lot-size target in dies); returns `default`
@@ -231,26 +226,31 @@ pub fn monitors_flag(default: usize) -> usize {
 }
 
 /// Parses `--chaos SEED` (seeded runtime fault injection for the fleet
-/// experiments); `None` when absent or malformed. Falls back to the
-/// `NFBIST_CHAOS` environment variable so a whole test run can be
-/// opted in without touching the command line.
+/// experiments). Without a valid flag it falls back to the
+/// `NFBIST_CHAOS` environment variable
+/// ([`nfbist_runtime::ChaosConfig::from_env`]), so a whole test run can
+/// be opted in without touching the command line.
 pub fn chaos_flag() -> Option<u64> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--chaos" {
-            return args.next().and_then(|v| v.parse::<u64>().ok());
-        }
-    }
-    std::env::var(nfbist_runtime::chaos::CHAOS_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
+    parse_value_flag("--chaos")
+        .or_else(|| nfbist_runtime::ChaosConfig::from_env().map(|c| c.seed()))
 }
 
-fn parse_value_flag(flag: &str) -> Option<usize> {
+/// Peak resident set size (`VmHWM`) in bytes, when the platform
+/// exposes it (Linux `/proc`); `None` elsewhere.
+pub fn peak_rss_bytes() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kb * 1024)
+}
+
+/// The value after the first `flag` argument, parsed; `None` when the
+/// flag is absent or its value malformed.
+fn parse_value_flag<T: std::str::FromStr>(flag: &str) -> Option<T> {
     let mut args = std::env::args();
     while let Some(a) = args.next() {
         if a == flag {
-            return args.next().and_then(|v| v.parse::<usize>().ok());
+            return args.next().and_then(|v| v.parse().ok());
         }
     }
     None
@@ -301,6 +301,38 @@ mod tests {
         assert_eq!(dies_flag(512), 512);
         assert_eq!(dies_flag(0), 1);
         assert_eq!(budget_flag(), None);
+    }
+
+    #[test]
+    fn runtime_flags_fall_back_to_the_machine_and_the_environment() {
+        assert!(!quick_flag() && !streaming_flag() && !adaptive_flag());
+        assert_eq!(
+            workers_flag(),
+            nfbist_runtime::WorkQueue::with_available_parallelism().workers()
+        );
+        assert_eq!(monitors_flag(6), 6);
+        assert_eq!(monitors_flag(0), 1);
+        // Without `--chaos` the seed is whatever `NFBIST_CHAOS` holds.
+        assert_eq!(
+            chaos_flag(),
+            nfbist_runtime::ChaosConfig::from_env().map(|c| c.seed())
+        );
+    }
+
+    #[test]
+    fn peak_rss_is_reported_in_bytes_and_never_falls() {
+        let Some(before) = peak_rss_bytes() else {
+            // Only Linux exposes the high-water mark.
+            return;
+        };
+        assert!(before > 0);
+        // Touch 32 MiB: the high-water mark must cover it (a kB figure
+        // mistaken for bytes would not).
+        let block = vec![1u8; 32 << 20];
+        assert_eq!(block.iter().map(|&b| u64::from(b)).sum::<u64>(), 32 << 20);
+        let after = peak_rss_bytes().unwrap();
+        assert!(after >= before);
+        assert!(after >= 32 << 20, "peak {after} B after touching 32 MiB");
     }
 
     #[test]

@@ -953,6 +953,108 @@ mod tests {
     }
 
     #[test]
+    fn custom_variants_keep_their_faults_and_grids_validate_parameters() {
+        let variant = FaultVariant::new("combo", "noisy + stuck")
+            .analog(AnalogFault::ExcessNoise { factor: 4.0 })
+            .unwrap()
+            .bit(BitFault::StuckBits {
+                period: 3,
+                value: false,
+            })
+            .unwrap();
+        assert_eq!(
+            (variant.class(), variant.label()),
+            ("combo", "noisy + stuck")
+        );
+        assert_eq!(
+            variant.analog_faults(),
+            &[AnalogFault::ExcessNoise { factor: 4.0 }]
+        );
+        assert_eq!(
+            variant.bit_faults(),
+            &[BitFault::StuckBits {
+                period: 3,
+                value: false
+            }]
+        );
+        assert!(!variant.is_healthy());
+        let universe = FaultUniverse::new().variant(variant);
+        assert_eq!(universe.len(), 2);
+        assert_eq!(
+            universe.get(1).map(FaultVariant::label),
+            Some("noisy + stuck")
+        );
+        // Out-of-domain parameters are refused, per fault and per grid.
+        assert!(FaultVariant::new("x", "x")
+            .analog(AnalogFault::ExcessNoise { factor: 0.5 })
+            .is_err());
+        assert!(FaultVariant::new("x", "x")
+            .bit(BitFault::StuckBits {
+                period: 0,
+                value: true
+            })
+            .is_err());
+        assert!(FaultUniverse::new().input_attenuation(&[0.9]).is_err());
+        assert!(FaultUniverse::new().gain_deviation(&[0.0]).is_err());
+        assert!(FaultUniverse::new().excess_noise(&[f64::NAN]).is_err());
+        assert!(FaultUniverse::new().interference(&[(0.0, 0.5)]).is_err());
+        assert!(FaultUniverse::new().stuck_bits(&[0]).is_err());
+        assert!(FaultUniverse::new().flipped_bits(&[1.5]).is_err());
+    }
+
+    #[test]
+    fn report_rates_weight_each_class_by_its_trials() {
+        let stats =
+            |class: &str, healthy, trials, detected, escaped, gross, retested, nf| ClassStats {
+                class: class.to_string(),
+                healthy,
+                trials,
+                detected,
+                escaped,
+                unresolved: trials - detected - escaped,
+                gross,
+                retested,
+                test_samples: 100 * trials as u64,
+                mean_nf_db: nf,
+            };
+        let report = CoverageReport {
+            classes: vec![
+                stats("healthy", true, 10, 1, 9, 0, 2, 9.5),
+                stats("excess_noise", false, 4, 4, 0, 2, 0, f64::INFINITY),
+                stats("gain_deviation", false, 6, 1, 4, 0, 3, 10.0),
+            ],
+        };
+        assert_eq!(report.class("gain_deviation").unwrap().trials, 6);
+        assert!(report.class("stuck_bits").is_none());
+        // Faulty classes pool their cells: 5 of 10 caught, 4 shipped.
+        assert_eq!(report.overall_detection_rate(), Some(0.5));
+        assert_eq!(report.overall_escape_rate(), Some(0.4));
+        assert_eq!(report.yield_loss(), Some(0.1));
+        assert_eq!(report.retest_rate(), 0.25);
+        assert_eq!(report.mean_test_samples(), 100.0);
+        let table = report.to_table();
+        assert_eq!(table.len(), 3);
+        let shown = report.to_string();
+        for cell in ["4 (2 gross)", "∞", "10.0 %", "50.0 %", "9.50"] {
+            assert!(shown.contains(cell), "missing {cell:?} in\n{shown}");
+        }
+        // Rates without a population to divide by are absent, not NaN.
+        let healthy_only = CoverageReport {
+            classes: vec![stats("healthy", true, 2, 0, 2, 0, 0, 9.0)],
+        };
+        assert_eq!(healthy_only.overall_detection_rate(), None);
+        assert_eq!(healthy_only.overall_escape_rate(), None);
+        let faulty_only = CoverageReport {
+            classes: vec![stats("excess_noise", false, 2, 2, 0, 0, 0, 20.0)],
+        };
+        assert_eq!(faulty_only.yield_loss(), None);
+        let empty = CoverageReport {
+            classes: Vec::new(),
+        };
+        assert_eq!((empty.retest_rate(), empty.mean_test_samples()), (0.0, 0.0));
+    }
+
+    #[test]
     fn campaign_validation() {
         let screen = Screen::new(10.0, 3.0).unwrap();
         let mut bad = tiny_setup(1);

@@ -1322,6 +1322,73 @@ mod tests {
     }
 
     #[test]
+    fn every_outcome_class_lands_in_its_own_counter() {
+        let die = |die: usize, defect, verdict, retests, nf_db| DieOutcome {
+            die,
+            defect,
+            verdict,
+            retests,
+            nf_db,
+            test_samples: 10 * (die as u64 + 1),
+        };
+        let mut report = LotReport::new();
+        for outcome in [
+            die(0, None, Verdict::Pass, 0, 9.0),
+            // A healthy die rejected after one retest.
+            die(1, None, Verdict::Fail, 1, 13.0),
+            die(2, Some(1), Verdict::Fail, 0, 15.0),
+            // An escape that took two retests.
+            die(3, Some(1), Verdict::Pass, 2, 10.0),
+            // A defect still in the guard band when the budget ran out.
+            die(4, Some(2), Verdict::Retest, 2, 11.0),
+            // A gross reject: caught, but its NF is unmeasurable.
+            die(5, Some(2), Verdict::Fail, 0, f64::INFINITY),
+        ] {
+            report.push(outcome).unwrap();
+        }
+        assert_eq!(
+            (report.passed(), report.failed(), report.unresolved()),
+            (2, 3, 1)
+        );
+        assert_eq!(report.gross(), 1);
+        assert_eq!(report.defective(), 4);
+        assert_eq!((report.detected(), report.escaped()), (2, 1));
+        assert_eq!(report.healthy_rejects(), 1);
+        assert_eq!((report.retested(), report.total_retests()), (3, 5));
+        assert_eq!(report.retest_rate(), 0.5);
+        assert_eq!(report.detection_rate(), Some(0.5));
+        assert_eq!(report.escape_rate(), Some(0.25));
+        // The gross reject stays out of the NF mean.
+        assert_eq!(report.mean_nf_db(), 58.0 / 5.0);
+        assert_eq!(report.test_samples(), 210);
+        assert_eq!(report.mean_test_samples(), 35.0);
+        assert_eq!(
+            report.rolling_yield(),
+            &[1.0, 0.5, 1.0 / 3.0, 0.5, 0.4, 2.0 / 6.0]
+        );
+        let table = report.to_table();
+        assert_eq!(table.len(), 10);
+        let shown = table.to_string();
+        for cell in [
+            "complete",
+            "2 / 3 / 1",
+            "33.3 %",
+            "4 (2 / 1)",
+            "50.0 % (5)",
+            "11.60",
+        ] {
+            assert!(shown.contains(cell), "missing {cell:?} in\n{shown}");
+        }
+        // A lot of nothing but gross rejects has no measurable NF.
+        let mut gross = LotReport::new();
+        gross
+            .push(die(0, Some(1), Verdict::Fail, 0, f64::INFINITY))
+            .unwrap();
+        assert_eq!(gross.mean_nf_db(), f64::INFINITY);
+        assert!(gross.to_string().contains('∞'));
+    }
+
+    #[test]
     fn assemble_records_reorders_and_round_trips() {
         let universe = FaultUniverse::new().excess_noise(&[8.0]).unwrap();
         let screening = LotScreen::new(

@@ -730,6 +730,126 @@ mod tests {
     }
 
     #[test]
+    fn defaults_and_builder_settings_read_back() {
+        let mut setup = BistSetup::quick(2);
+        setup.samples = 1 << 15;
+        setup.nfft = 1_024;
+        let monitor = MonitorSession::new(setup.clone()).unwrap();
+        assert_eq!(
+            monitor.window_policy(),
+            EstimatorWindow::Sliding { segments: 8 }
+        );
+        assert_eq!(monitor.emission_stride_samples(), 1_024);
+        assert_eq!(monitor.horizon_samples(), 1 << 15);
+        assert_eq!(monitor.warmup_emissions(), 8);
+        assert_eq!((monitor.cusum_k(), monitor.cusum_h()), (0.5, 8.0));
+        assert_eq!(monitor.nf_limit(), None);
+        assert_eq!(monitor.session().setup(), &setup);
+        let width = setup.noise_band.1 - setup.noise_band.0;
+        let fraction = (2.0 * width / setup.sample_rate).min(1.0);
+        assert_eq!(monitor.effective_fraction(), fraction);
+        assert!(fraction > 0.0 && fraction <= 1.0);
+
+        let tuned = monitor
+            .window(EstimatorWindow::Forgetting { lambda: 0.9 })
+            .emission_stride(2_048)
+            .horizon(1 << 16)
+            .warmup(3)
+            .cusum(0.25, 5.0)
+            .nf_limit_db(14.0);
+        assert_eq!(
+            tuned.window_policy(),
+            EstimatorWindow::Forgetting { lambda: 0.9 }
+        );
+        assert_eq!(tuned.emission_stride_samples(), 2_048);
+        assert_eq!(tuned.horizon_samples(), 1 << 16);
+        assert_eq!(tuned.warmup_emissions(), 3);
+        assert_eq!((tuned.cusum_k(), tuned.cusum_h()), (0.25, 5.0));
+        assert_eq!(tuned.nf_limit(), Some(14.0));
+    }
+
+    #[test]
+    fn report_bookkeeping_accounts_for_every_emission() {
+        let monitor = psd_monitor(4).emission_stride(2_048);
+        let report = monitor.run().unwrap();
+        assert_eq!(report.horizon_samples(), 1 << 15);
+        let emissions = (1 << 15) / 2_048;
+        assert_eq!(
+            report.points().len() + report.skipped_emissions(),
+            emissions
+        );
+        // Points sit at increasing stride multiples; warm-up points
+        // carry no CUSUM.
+        for pair in report.points().windows(2) {
+            assert!(pair[0].emission < pair[1].emission);
+        }
+        for (k, p) in report.points().iter().enumerate() {
+            assert_eq!(p.sample_index, p.emission * 2_048);
+            assert!(p.n_effective > 0);
+            if k < 4 {
+                assert_eq!(p.cusum, 0.0);
+            }
+        }
+        // The warm-up event fires on the 4th estimate and the baseline
+        // is the mean of the first four.
+        let warm = report.first_event(AlarmKind::WarmupComplete).unwrap();
+        assert_eq!(warm.emission, report.points()[3].emission);
+        let mean = report.points()[..4].iter().map(|p| p.nf_db).sum::<f64>() / 4.0;
+        assert_eq!(report.baseline_db(), Some(mean));
+        assert_eq!(report.events()[0], *warm);
+        assert_eq!(report.alarm_signature().len(), report.events().len());
+        assert_eq!(report.series_signature().len(), report.points().len());
+    }
+
+    #[test]
+    fn mission_shorter_than_its_warmup_learns_no_baseline() {
+        let report = psd_monitor(6).warmup(64).run().unwrap();
+        assert_eq!(report.baseline_db(), None);
+        assert!(report.events().is_empty());
+        assert!(!report.points().is_empty());
+        assert!(report.points().iter().all(|p| p.cusum == 0.0));
+    }
+
+    #[test]
+    fn limit_violation_fires_once_on_the_crossing() {
+        // A limit far below any measured NF: every post-warm-up point is
+        // over it, yet the timeline records only the first crossing.
+        let report = psd_monitor(3).nf_limit_db(-50.0).run().unwrap();
+        let violations: Vec<&AlarmEvent> = report
+            .events()
+            .iter()
+            .filter(|e| e.kind == AlarmKind::LimitViolation)
+            .collect();
+        assert_eq!(violations.len(), 1);
+        let warm = report.first_event(AlarmKind::WarmupComplete).unwrap();
+        let first_after = report
+            .points()
+            .iter()
+            .find(|p| p.emission > warm.emission)
+            .unwrap();
+        assert_eq!(violations[0].emission, first_after.emission);
+        assert_eq!(violations[0].nf_db, first_after.nf_db);
+        // Without a limit the same mission raises no violation.
+        let unarmed = psd_monitor(3).run().unwrap();
+        assert!(unarmed.first_event(AlarmKind::LimitViolation).is_none());
+        assert_eq!(unarmed.series_signature(), report.series_signature());
+    }
+
+    #[test]
+    fn alarm_kinds_have_distinct_codes_and_names() {
+        let kinds = [
+            AlarmKind::WarmupComplete,
+            AlarmKind::DriftAlarm,
+            AlarmKind::LimitViolation,
+        ];
+        assert_eq!(kinds.map(AlarmKind::code), [0, 1, 2]);
+        assert_eq!(
+            kinds.map(|k| k.to_string()),
+            ["warmup-complete", "drift-alarm", "limit-violation"]
+        );
+    }
+
+    #[test]
     fn forgetting_window_monitor_runs_too() {
         let report = psd_monitor(7)
             .window(EstimatorWindow::Forgetting { lambda: 0.8 })

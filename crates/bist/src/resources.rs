@@ -166,4 +166,38 @@ mod tests {
             other => panic!("wrong error {other:?}"),
         }
     }
+
+    #[test]
+    fn cost_model_counts_the_segments_welch_averages() {
+        for (samples, nfft) in [
+            (1_000_000usize, 10_000usize),
+            (1 << 15, 1_024),
+            (5_000, 1_024),
+        ] {
+            let welch = nfbist_dsp::psd::WelchConfig::new(nfft)
+                .unwrap()
+                .overlap(0.5)
+                .unwrap();
+            let u = one_bit_usage(samples, nfft);
+            assert_eq!(u.fft_count, 2 * welch.segment_count(samples));
+        }
+        // Too short for one segment: nothing to transform.
+        assert_eq!(one_bit_usage(500, 1_024).fft_count, 0);
+    }
+
+    #[test]
+    fn digitizer_usage_routes_by_stored_bit_depth() {
+        let (n, nfft) = (1 << 16, 2_048);
+        assert_eq!(digitizer_usage(n, nfft, 1), one_bit_usage(n, nfft));
+        assert_eq!(digitizer_usage(n, nfft, 12), adc_usage(n, nfft, 12));
+        // Multi-bit samples occupy whole bytes: 12 bits store as 16.
+        assert_eq!(adc_usage(n, nfft, 12).record_bytes, 2 * n);
+        assert_eq!(adc_usage(n, nfft, 8).record_bytes, n);
+        assert_eq!(one_bit_usage(n, nfft).record_bytes, n / 8);
+        // The front-end changes memory, never the processing bill.
+        assert_eq!(
+            adc_usage(n, nfft, 12).estimated_flops,
+            one_bit_usage(n, nfft).estimated_flops
+        );
+    }
 }

@@ -1647,6 +1647,112 @@ mod tests {
     }
 
     #[test]
+    fn guard_band_scales_with_the_sigma_multiple_and_one_over_root_n() {
+        let m = measurement(9.0);
+        let three = Screen::new(10.0, 3.0).unwrap();
+        let six = Screen::new(10.0, 6.0).unwrap();
+        for n in [1_000usize, 40_000, 1_000_000] {
+            let g = three.guard_db(&m, n).unwrap();
+            assert!(g > 0.0 && g.is_finite());
+            assert!((six.guard_db(&m, n).unwrap() - 2.0 * g).abs() <= 1e-12 * g);
+            // Four times the samples halves the guard band.
+            assert!((three.guard_db(&m, 4 * n).unwrap() - g / 2.0).abs() <= 1e-12 * g);
+        }
+    }
+
+    #[test]
+    fn a_decisive_verdict_survives_every_longer_record() {
+        // The guard band only narrows as records grow, so once a DUT
+        // leaves the retest band it never returns to it — the premise
+        // of both retest escalation and the resolution search.
+        let screen = Screen::new(10.0, 3.0).unwrap();
+        for tenth in 80..=120 {
+            let m = measurement(f64::from(tenth) / 10.0);
+            let mut settled: Option<Verdict> = None;
+            for k in 0..14 {
+                let verdict = screen.judge(&m, 1_000 << k).unwrap();
+                match settled {
+                    Some(v) => assert_eq!(verdict, v, "nf {} at 1000·2^{k}", tenth),
+                    None if verdict != Verdict::Retest => settled = Some(verdict),
+                    None => {}
+                }
+            }
+            // The search reports the first decisive doubling.
+            let found = screen.record_length_to_resolve(&m, 1_000 << 13).unwrap();
+            if let Some(n) = found {
+                assert_eq!(screen.judge(&m, n).unwrap(), settled.unwrap());
+                if n > 1_000 {
+                    assert_eq!(screen.judge(&m, n / 2).unwrap(), Verdict::Retest);
+                }
+            } else {
+                assert_eq!(settled, None);
+            }
+        }
+    }
+
+    #[test]
+    fn sequential_decisions_order_with_the_estimate_and_firm_up_with_sigma() {
+        let seq = SequentialScreen::new(Screen::new(10.0, 3.0).unwrap(), 0.05, 0.1).unwrap();
+        let rank = |d: SequentialDecision| match d {
+            SequentialDecision::Pass => 0,
+            SequentialDecision::Continue => 1,
+            SequentialDecision::Fail => 2,
+        };
+        for guard in [0.0, 0.3, 1.0] {
+            for sigma in [0.01, 0.1, 0.5, 2.0] {
+                // Rising NF moves Pass → Continue → Fail, never back.
+                let ranks: Vec<u8> = (0..=400)
+                    .map(|i| rank(seq.decide(f64::from(i) * 0.05, sigma, guard)))
+                    .collect();
+                assert!(
+                    ranks.windows(2).all(|w| w[0] <= w[1]),
+                    "sigma {sigma}, guard {guard}"
+                );
+                // A tighter interval keeps every decisive answer.
+                for i in 0..=400 {
+                    let nf = f64::from(i) * 0.05;
+                    let loose = seq.decide(nf, sigma, guard);
+                    if loose != SequentialDecision::Continue {
+                        assert_eq!(seq.decide(nf, sigma / 2.0, guard), loose, "nf {nf}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn outcomes_bill_every_round() {
+        let round = |samples, verdict| RetestRound {
+            samples,
+            nf_db: 9.0,
+            verdict,
+        };
+        let escalated = ScreeningOutcome {
+            verdict: Verdict::Pass,
+            rounds: vec![
+                round(1 << 13, Verdict::Retest),
+                round(1 << 14, Verdict::Retest),
+                round(1 << 15, Verdict::Pass),
+            ],
+        };
+        assert_eq!(escalated.retests(), 2);
+        assert_eq!(escalated.total_samples(), 7 << 13);
+        let single = ScreeningOutcome {
+            verdict: Verdict::Retest,
+            rounds: vec![round(1 << 13, Verdict::Retest)],
+        };
+        assert_eq!((single.retests(), single.total_samples()), (0, 1 << 13));
+        let stopped = SequentialOutcome {
+            verdict: Verdict::Pass,
+            nf_db: 9.0,
+            samples: 1 << 12,
+            checkpoints: 1,
+            stopped_early: true,
+        };
+        assert_eq!(stopped.total_samples(), 1 << 12);
+    }
+
+    #[test]
     fn resolution_search_finds_a_length() {
         let screen = Screen::new(10.0, 3.0).unwrap();
         let m = measurement(9.7);

@@ -1027,6 +1027,72 @@ mod tests {
     }
 
     #[test]
+    fn hot_minus_cold_output_power_is_the_source_term_alone() {
+        // The DUT's added noise is common to both states, so the
+        // difference of the squared output RMS is the source's
+        // 4k·R·(Th − Tc) over the Nyquist band times the power gain —
+        // with the hot temperature the source actually emits.
+        for error in [0.0, 0.1] {
+            let mut setup = BistSetup::quick(1);
+            setup.hot_calibration_error = error;
+            let session = MeasurementSession::new(setup.clone())
+                .unwrap()
+                .dut(dut(OpampModel::tl081()));
+            let hot = session.dut_output_rms(NoiseSourceState::Hot).unwrap();
+            let cold = session.dut_output_rms(NoiseSourceState::Cold).unwrap();
+            assert!(hot > cold && cold > 0.0);
+            let gain = session.dut_ref().gain();
+            let emitted_hot = setup.hot_kelvin * (1.0 + error);
+            let expected = gain
+                * gain
+                * 4.0
+                * nfbist_analog::constants::BOLTZMANN
+                * setup.source_resistance.value()
+                * (emitted_hot - setup.cold_kelvin)
+                * setup.sample_rate
+                / 2.0;
+            let measured = hot * hot - cold * cold;
+            assert!(
+                ((measured - expected) / expected).abs() < 1e-9,
+                "error {error}: {measured} vs {expected}"
+            );
+        }
+    }
+
+    #[test]
+    fn component_accessors_expose_the_selection() {
+        let session = MeasurementSession::new(BistSetup::quick(2)).unwrap();
+        // Defaults: the paper's OP27 at Av = 101 and the 1-bit cell
+        // with its sine reference.
+        assert!((session.dut_ref().gain() - 101.0).abs() < 1e-9);
+        assert!(session.digitizer_ref().uses_reference());
+        assert!(session.estimator_ref().streaming().is_some());
+        let one_bit_label = session.estimator_ref().label();
+        let setup = session.setup().clone();
+        let est = PsdRatioEstimator::new(setup.sample_rate, setup.nfft, setup.noise_band).unwrap();
+        let psd_label = est.label();
+        assert_ne!(psd_label, one_bit_label);
+        let adc = session
+            .dut(
+                NonInvertingAmplifier::new(
+                    OpampModel::tl081(),
+                    Ohms::new(1_000.0),
+                    Ohms::new(100.0),
+                )
+                .unwrap(),
+            )
+            .digitizer(AdcDigitizer::new(12).unwrap())
+            .estimator(est);
+        assert!((adc.dut_ref().gain() - 11.0).abs() < 1e-9);
+        assert!(!adc.digitizer_ref().uses_reference());
+        assert_eq!(adc.estimator_ref().label(), psd_label);
+        // Without a reference the waveform is silent, so the session's
+        // reference amplitude plays no part in an ADC acquisition.
+        let (_, reference) = adc.conditioning().unwrap();
+        assert!(reference.iter().all(|&v| v == 0.0));
+    }
+
+    #[test]
     fn acquisition_has_expected_shape() {
         let session = MeasurementSession::new(BistSetup::quick(3)).unwrap();
         let record = session.acquire(NoiseSourceState::Hot, 0).unwrap();
@@ -1200,6 +1266,44 @@ mod tests {
         }
         // Combining nothing is rejected.
         assert!(session.combine(Vec::new()).is_err());
+    }
+
+    #[test]
+    fn state_chains_replay_the_batch_record_for_any_chunking() {
+        let mut setup = BistSetup::quick(3);
+        setup.samples = 1 << 13;
+        setup.nfft = 1_024;
+        let one_bit = MeasurementSession::new(setup.clone()).unwrap();
+        let adc = MeasurementSession::new(setup.clone())
+            .unwrap()
+            .digitizer(AdcDigitizer::new(12).unwrap());
+        for session in [&one_bit, &adc] {
+            let gain = session.frontend_gain().unwrap();
+            for state in [NoiseSourceState::Hot, NoiseSourceState::Cold] {
+                let batch = session.acquire(state, 0).unwrap().to_samples();
+                for chunk in [1_000usize, 4_096, 1 << 13] {
+                    let mut chain = session.begin_state_chain(state, 0, gain).unwrap();
+                    let mut streamed = Vec::new();
+                    let mut sink = |s: &[f64]| {
+                        streamed.extend_from_slice(s);
+                        Ok(())
+                    };
+                    // Two legs: part way, then to the end of the record.
+                    chain.advance_to(3_000, chunk, &mut sink).unwrap();
+                    chain.advance_to(1 << 13, chunk, &mut sink).unwrap();
+                    chain.finish(&mut sink).unwrap();
+                    assert_eq!(streamed.len(), batch.len());
+                    assert!(
+                        streamed
+                            .iter()
+                            .zip(&batch)
+                            .all(|(a, b)| a.to_bits() == b.to_bits()),
+                        "{} {state:?} chunk {chunk}",
+                        session.digitizer_ref().label()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

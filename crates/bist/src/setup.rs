@@ -261,4 +261,35 @@ mod tests {
         assert!(q.samples < p.samples);
         assert!(q.nfft < p.nfft);
     }
+
+    #[test]
+    fn effective_samples_are_twice_the_time_bandwidth_product() {
+        let setup = BistSetup::quick(0);
+        let bandwidth = setup.noise_band.1 - setup.noise_band.0;
+        for seconds in [1usize, 2, 5] {
+            let samples = seconds * setup.sample_rate as usize;
+            assert_eq!(
+                setup.effective_samples_for(samples),
+                (2.0 * bandwidth * seconds as f64) as usize
+            );
+        }
+        // Monotone in the record length, and the configured length is
+        // the default.
+        let counts: Vec<usize> = (0..64)
+            .map(|k| setup.effective_samples_for(k * 1_000))
+            .collect();
+        assert!(counts.windows(2).all(|w| w[0] <= w[1]));
+        assert_eq!(
+            setup.effective_samples(),
+            setup.effective_samples_for(setup.samples)
+        );
+        // A wider band buys proportionally more independent samples.
+        let mut wide = setup.clone();
+        wide.noise_band = (setup.noise_band.0, setup.noise_band.0 + 2.0 * bandwidth);
+        let n = 4 * setup.sample_rate as usize;
+        assert_eq!(
+            wide.effective_samples_for(n),
+            2 * setup.effective_samples_for(n)
+        );
+    }
 }

@@ -146,4 +146,29 @@ mod tests {
         assert_eq!(plan.points_per_pass, 2);
         assert_eq!(plan.passes, 1);
     }
+
+    #[test]
+    fn plans_use_the_fewest_passes_the_budget_allows() {
+        for points in [1usize, 2, 5, 8, 17] {
+            for budget in [96 << 10, 256 << 10, 1 << 20, 4 << 20] {
+                let Ok(plan) =
+                    plan_acquisitions(points, 200_000, 4_096, ResourceBudget::new(budget))
+                else {
+                    continue;
+                };
+                let records = 2 * plan.per_point.record_bytes;
+                let fft = plan.per_point.peak_memory_bytes - records;
+                // Every point is covered, and no pass could be dropped.
+                assert!(plan.total_points() >= points);
+                assert!((plan.passes - 1) * plan.points_per_pass < points);
+                assert!(plan.pass_memory_bytes <= budget);
+                assert_eq!(plan.pass_memory_bytes, fft + plan.points_per_pass * records);
+                // One more concurrent point would not fit (unless every
+                // point already shares one pass).
+                if plan.points_per_pass < points {
+                    assert!(fft + (plan.points_per_pass + 1) * records > budget);
+                }
+            }
+        }
+    }
 }

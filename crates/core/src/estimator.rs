@@ -186,4 +186,18 @@ mod tests {
         );
         assert!(inter.ratio > 1.0);
     }
+
+    #[test]
+    fn the_estimator_exposes_its_ratio_stage_and_temperatures() {
+        let ratio = OneBitPowerRatio::new(20_000.0, 2_048, 3_000.0, (100.0, 1_500.0))
+            .unwrap()
+            .with_window(nfbist_dsp::window::Window::Blackman);
+        let est = OneBitNfEstimator::new(ratio, 2_900.0, 290.0).unwrap();
+        assert_eq!((est.hot_kelvin(), est.cold_kelvin()), (2_900.0, 290.0));
+        let stage = est.ratio_estimator();
+        assert_eq!(stage.sample_rate(), 20_000.0);
+        assert_eq!(stage.nfft(), 2_048);
+        assert_eq!(stage.noise_band(), (100.0, 1_500.0));
+        assert_eq!(stage.window(), nfbist_dsp::window::Window::Blackman);
+    }
 }

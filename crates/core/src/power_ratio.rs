@@ -765,6 +765,33 @@ mod tests {
     }
 
     #[test]
+    fn tracker_override_steers_the_reference_search() {
+        let (hot, cold) = digitized_pair(1.0, 0.5, 0.2 * 0.5, 1 << 16);
+        let base = OneBitPowerRatio::new(FS, 2048, 3_000.0, (100.0, 1_500.0)).unwrap();
+        // Searching ±20 Hz around 2 kHz misses the 3 kHz line.
+        let blind = base
+            .clone()
+            .with_tracker(ReferenceTracker::new(2_000.0, 20.0, 3).unwrap());
+        assert!(matches!(
+            blind.estimate_bits(&hot, &cold),
+            Err(CoreError::Degenerate { .. })
+        ));
+        // A wide line width at the right place finds it in both records
+        // and claims the configured bins.
+        let wide = base.with_tracker(ReferenceTracker::new(3_000.0, 100.0, 5).unwrap());
+        let r = wide.estimate_bits(&hot, &cold).unwrap();
+        for line in [&r.normalization.anchor_line, &r.normalization.scaled_line] {
+            assert!(
+                (line.frequency - 3_000.0).abs() <= FS / 2048.0,
+                "{}",
+                line.frequency
+            );
+            assert_eq!(line.bins.len(), 11);
+            assert!(line.bins.contains(&line.bin));
+        }
+    }
+
+    #[test]
     fn reference_exclusion_matters() {
         // Without excluding the reference bins the ratio collapses
         // toward 1 because both spectra contain the (equalized)

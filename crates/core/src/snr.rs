@@ -166,6 +166,32 @@ mod tests {
     }
 
     #[test]
+    fn spectrum_method_splits_tone_skirt_from_band_noise() {
+        // A flat floor of 1 with a 7-bin tone skirt of 50 around
+        // 2 kHz: the tone power is the skirt and the noise is the rest
+        // of the band, exactly.
+        let (fs, nfft) = (20_000.0, 1_000usize);
+        let df = fs / nfft as f64;
+        let mut density = vec![1.0; nfft / 2 + 1];
+        for d in &mut density[97..=103] {
+            *d = 50.0;
+        }
+        let psd = Spectrum::new(density, fs, nfft).unwrap();
+        let est = snr_from_spectrum(&psd, 2_000.0, (1_000.0, 3_000.0)).unwrap();
+        assert!((est.signal_power - 7.0 * 50.0 * df).abs() < 1e-9);
+        // Bins 50..=150 minus the 7 skirt bins.
+        assert!((est.noise_power - 94.0 * df).abs() < 1e-9);
+        assert!((est.snr_db - 10.0 * (350.0f64 / 94.0).log10()).abs() < 1e-12);
+        // The tone must lie in range, and a silent band is degenerate.
+        assert!(snr_from_spectrum(&psd, 12_000.0, (1_000.0, 3_000.0)).is_err());
+        let silent = Spectrum::new(vec![0.0; nfft / 2 + 1], fs, nfft).unwrap();
+        assert!(matches!(
+            snr_from_spectrum(&silent, 2_000.0, (1_000.0, 3_000.0)),
+            Err(CoreError::Degenerate { .. })
+        ));
+    }
+
+    #[test]
     fn spectral_method_degenerate_on_silence() {
         let tone = SineSource::new(2_000.0, 1.0)
             .unwrap()

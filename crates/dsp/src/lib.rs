@@ -3,7 +3,7 @@
 //! This crate provides the signal-processing machinery that the DATE'05
 //! paper *"Noise Figure Evaluation Using Low Cost BIST"* performed in
 //! Matlab: FFTs, power spectral density estimation, window functions,
-//! autocorrelation, filtering and basic statistics. Everything is
+//! autocorrelation and basic statistics. Everything is
 //! implemented from scratch on `f64` buffers so the reproduction has no
 //! opaque numeric dependencies.
 //!
@@ -47,9 +47,7 @@
 //! | [`psd`] | Periodogram and Welch PSD estimators producing [`spectrum::Spectrum`] |
 //! | [`spectrum`] | One-sided PSD container: bin↔frequency maps, band power, peaks |
 //! | [`correlation`] | Biased/unbiased auto- and cross-correlation (direct and FFT) |
-//! | [`filter`] | FIR design (windowed sinc), biquads, Butterworth cascades |
 //! | [`goertzel`] | Single-bin DFT for cheap reference-line tracking |
-//! | [`resample`] | Decimation and zero-stuffing interpolation |
 //! | [`simd`] | Runtime-dispatched SIMD kernels (AVX2/NEON/scalar) for the hot loops |
 //! | [`soa`] | Structure-of-arrays record batches for vectorizing across repeats |
 //! | [`stats`] | Mean, variance, RMS, mean-square, histogramming |
@@ -66,10 +64,8 @@ pub mod complex;
 pub mod correlation;
 pub mod db;
 pub mod fft;
-pub mod filter;
 pub mod goertzel;
 pub mod psd;
-pub mod resample;
 pub mod simd;
 pub mod soa;
 pub mod spectrum;

@@ -304,6 +304,29 @@ mod tests {
     }
 
     #[test]
+    fn configuration_reads_back_and_defaults_to_the_paper_choice() {
+        let default = WelchConfig::new(256).unwrap();
+        assert_eq!(default.segment_len(), 256);
+        assert_eq!(default.window_kind(), Window::Hann);
+        assert_eq!(default.overlap_fraction(), 0.5);
+        assert!(!default.detrend_enabled());
+        assert_eq!(default.simd_policy(), SimdPolicy::Exact);
+        let tuned = default
+            .window(Window::Blackman)
+            .overlap(0.75)
+            .unwrap()
+            .detrend(true)
+            .simd(SimdPolicy::Relaxed);
+        assert_eq!(tuned.window_kind(), Window::Blackman);
+        assert_eq!(tuned.overlap_fraction(), 0.75);
+        assert!(tuned.detrend_enabled());
+        assert_eq!(tuned.simd_policy(), SimdPolicy::Relaxed);
+        // A rejected overlap leaves nothing half-configured.
+        assert!(tuned.clone().overlap(1.0).is_err());
+        assert_eq!(tuned.overlap_fraction(), 0.75);
+    }
+
+    #[test]
     fn segment_count_arithmetic() {
         let cfg = WelchConfig::new(100).unwrap().overlap(0.5).unwrap();
         assert_eq!(cfg.segment_count(99), 0);

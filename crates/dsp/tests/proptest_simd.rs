@@ -278,3 +278,31 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn soa_scaling_is_bit_identical_across_arms_and_lane_counts(
+        x in finite_signal(300),
+        lanes in 1usize..11,
+    ) {
+        let samples = x.len() / lanes;
+        prop_assume!(samples > 0);
+        let data = &x[..samples * lanes];
+        let coeffs: Vec<f64> = (0..samples).map(|i| 0.25 + (i as f64 * 0.61).sin()).collect();
+        // Sample-major layout: element i·lanes + l scales by coeffs[i].
+        let expect: Vec<f64> = data
+            .iter()
+            .enumerate()
+            .map(|(j, v)| v * coeffs[j / lanes])
+            .collect();
+        for &arm in simd::available_arms() {
+            let mut out = data.to_vec();
+            simd::scale_by_sample_with(arm, &mut out, lanes, &coeffs);
+            for (a, b) in out.iter().zip(&expect) {
+                prop_assert_eq!(a.to_bits(), b.to_bits());
+            }
+        }
+    }
+}

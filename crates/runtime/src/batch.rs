@@ -10,17 +10,19 @@
 //!    per-repeat seeds come from the session's own
 //!    `(setup seed, repeat index)` derivation, per-trial seeds from
 //!    [`derive_seed`].
-//! 2. The executor is slot-indexed (task `i`'s result lands at index
-//!    `i`), so reduction order never depends on scheduling.
+//! 2. The [`WorkQueue`] is slot-indexed (task `i`'s result lands at
+//!    index `i`), so reduction order never depends on scheduling.
 
-use crate::executor::BatchExecutor;
+use crate::error::RuntimeError;
+use crate::queue::WorkQueue;
 use nfbist_analog::component::Amplifier;
 use nfbist_analog::noise::NoiseSourceState;
-use nfbist_soc::coverage::{CellOutcome, CoverageCampaign, CoverageReport};
+use nfbist_soc::coverage::{CoverageCampaign, CoverageReport};
 use nfbist_soc::freqresp::{FrequencyResponseMeasurement, FrequencyResponseTester};
 use nfbist_soc::multipoint::{MultipointBist, PointMeasurement};
-use nfbist_soc::session::{Measurement, MeasurementSession, RepeatMeasurement};
+use nfbist_soc::session::{Measurement, MeasurementSession};
 use nfbist_soc::SocError;
+use std::sync::{Mutex, PoisonError};
 
 /// The golden-ratio increment seeding the derivation walk —
 /// re-exported from the session itself
@@ -34,8 +36,8 @@ pub const SEED_STRIDE: u64 = nfbist_soc::session::REPEAT_SEED_STRIDE;
 /// shared by trial fan-out here and the coverage campaign's cells.
 pub use nfbist_soc::session::derive_seed;
 
-/// How a batch is executed: the worker count, and the executor built
-/// from it.
+/// How a batch is executed: the worker count of the [`WorkQueue`] it
+/// fans out over.
 ///
 /// # Examples
 ///
@@ -64,7 +66,7 @@ impl BatchPlan {
     /// A plan sized to the machine's available parallelism.
     pub fn new() -> Self {
         BatchPlan {
-            workers: BatchExecutor::with_available_parallelism().workers(),
+            workers: WorkQueue::with_available_parallelism().workers(),
         }
     }
 
@@ -85,9 +87,8 @@ impl BatchPlan {
         self.workers
     }
 
-    /// The executor this plan drives.
-    pub fn executor(&self) -> BatchExecutor {
-        BatchExecutor::new(self.workers)
+    fn queue(&self) -> WorkQueue {
+        WorkQueue::new(self.workers)
     }
 
     /// Runs one session with its repeats fanned out across workers.
@@ -115,25 +116,18 @@ impl BatchPlan {
     /// Propagates acquisition, estimation and combination errors (the
     /// first failing repeat wins, in repeat order).
     pub fn run_session(&self, session: &MeasurementSession) -> Result<Measurement, SocError> {
+        let repeats = session.repeat_count();
         let outcomes = if session.streaming_active() {
             let gain = session.frontend_gain()?;
-            let tasks: Vec<_> = (0..session.repeat_count())
-                .map(|r| move || session.measure_repeat_streaming(r, gain))
-                .collect();
-            self.executor().run(tasks)
+            self.queue()
+                .run(repeats, |r| session.measure_repeat_streaming(r, gain))
         } else {
             let (gain, reference) = session.conditioning()?;
-            let reference = &reference;
-            let tasks: Vec<_> = (0..session.repeat_count())
-                .map(|r| move || session.measure_repeat_conditioned(r, gain, reference))
-                .collect();
-            self.executor().run(tasks)
+            self.queue().run(repeats, |r| {
+                session.measure_repeat_conditioned(r, gain, &reference)
+            })
         };
-        let mut repeats: Vec<RepeatMeasurement> = Vec::with_capacity(outcomes.len());
-        for outcome in outcomes {
-            repeats.push(outcome?);
-        }
-        session.combine(repeats)
+        session.combine(outcomes.into_iter().collect::<Result<Vec<_>, _>>()?)
     }
 
     /// Runs `trials` independent sessions — a Monte Carlo batch — with
@@ -150,27 +144,39 @@ impl BatchPlan {
     where
         B: Fn(usize) -> Result<MeasurementSession, SocError> + Sync,
     {
-        let build = &build;
-        let tasks: Vec<_> = (0..trials)
-            .map(|t| move || build(t).and_then(|session| session.run()))
-            .collect();
-        let outcomes = self.executor().run(tasks);
-        let mut measurements = Vec::with_capacity(outcomes.len());
-        for outcome in outcomes {
-            measurements.push(outcome?);
-        }
+        let measurements = self
+            .queue()
+            .run(trials, |t| build(t).and_then(|session| session.run()))
+            .into_iter()
+            .collect::<Result<_, _>>()?;
         Ok(SessionBatch { measurements })
     }
 
     /// Fans arbitrary independent cells (table sweep rows, ablation
     /// arms, estimator comparisons) across workers, preserving cell
-    /// order in the output.
+    /// order in the output. With one worker (or at most one cell) the
+    /// cells run inline on the calling thread, in order.
+    ///
+    /// # Panics
+    ///
+    /// Propagates a panicking cell once the batch joins.
     pub fn run_cells<T, F>(&self, cells: Vec<F>) -> Vec<T>
     where
         F: FnOnce() -> T + Send,
         T: Send,
     {
-        self.executor().run(cells)
+        // Each one-shot cell is parked in a slot its index claims once.
+        let slots: Vec<Mutex<Option<F>>> = cells.into_iter().map(|c| Mutex::new(Some(c))).collect();
+        self.queue().run(slots.len(), |i| {
+            let cell = slots[i]
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .take();
+            match cell {
+                Some(cell) => cell(),
+                None => panic!("{}", RuntimeError::TaskMissing { index: i }),
+            }
+        })
     }
 
     /// Runs a defect-coverage campaign with every cell (fault variant
@@ -206,14 +212,11 @@ impl BatchPlan {
     ///
     /// Propagates the first failing cell, in cell order.
     pub fn run_coverage(&self, campaign: &CoverageCampaign) -> Result<CoverageReport, SocError> {
-        let tasks: Vec<_> = (0..campaign.cell_count())
-            .map(|c| move || campaign.run_cell(c))
-            .collect();
-        let outcomes = self.executor().run(tasks);
-        let mut cells: Vec<CellOutcome> = Vec::with_capacity(outcomes.len());
-        for outcome in outcomes {
-            cells.push(outcome?);
-        }
+        let cells = self
+            .queue()
+            .run(campaign.cell_count(), |c| campaign.run_cell(c))
+            .into_iter()
+            .collect::<Result<_, _>>()?;
         campaign.assemble(cells)
     }
 
@@ -237,14 +240,11 @@ impl BatchPlan {
         tester: &FrequencyResponseTester,
         dut: &Amplifier,
     ) -> Result<FrequencyResponseMeasurement, SocError> {
-        let tasks: Vec<_> = (0..tester.frequencies().len())
-            .map(|i| move || tester.measure_point(dut, i))
-            .collect();
-        let outcomes = self.executor().run(tasks);
-        let mut points = Vec::with_capacity(outcomes.len());
-        for outcome in outcomes {
-            points.push(outcome?);
-        }
+        let points = self
+            .queue()
+            .run(tester.frequencies().len(), |i| tester.measure_point(dut, i))
+            .into_iter()
+            .collect::<Result<_, _>>()?;
         tester.assemble(points)
     }
 
@@ -258,23 +258,13 @@ impl BatchPlan {
     /// Propagates acquisition and estimation errors (acquisition
     /// first; then the first failing point, in point order).
     pub fn run_multipoint(&self, bist: &MultipointBist) -> Result<Vec<PointMeasurement>, SocError> {
-        type AcquireTask<'a> = Box<
-            dyn FnOnce() -> Result<Vec<nfbist_analog::bitstream::Bitstream>, SocError> + Send + 'a,
-        >;
-        let acquisitions: Vec<AcquireTask> = vec![
-            Box::new(|| bist.acquire_all(NoiseSourceState::Hot)),
-            Box::new(|| bist.acquire_all(NoiseSourceState::Cold)),
-        ];
-        let mut acquired = self.executor().run(acquisitions).into_iter();
-        // The executor returns exactly one slot per task; a missing
-        // slot here is unreachable, but surface it as an error rather
-        // than panicking.
-        let missing = SocError::InvalidParameter {
-            name: "acquisition slot",
-            reason: "executor returned fewer results than tasks",
-        };
-        let hot = acquired.next().ok_or_else(|| missing.clone())??;
-        let cold = acquired.next().ok_or(missing)??;
+        let states = [NoiseSourceState::Hot, NoiseSourceState::Cold];
+        let acquired: Vec<_> = self
+            .queue()
+            .run(states.len(), |k| bist.acquire_all(states[k]))
+            .into_iter()
+            .collect::<Result<_, _>>()?;
+        let (hot, cold) = (&acquired[0], &acquired[1]);
 
         // One estimator *clone* per point task: concurrent workers each
         // need their own FFT plan anyway (a shared cache would either
@@ -284,19 +274,12 @@ impl BatchPlan {
         // shared instance and hits its cache on every point.
         let base_estimator = bist.estimator()?;
         let estimators: Vec<_> = (0..hot.len()).map(|_| base_estimator.clone()).collect();
-        let tasks: Vec<_> = hot
-            .iter()
-            .zip(&cold)
-            .zip(&estimators)
-            .enumerate()
-            .map(|(i, ((h, c), est))| move || bist.measure_point(est, i, h, c))
-            .collect();
-        let outcomes = self.executor().run(tasks);
-        let mut points = Vec::with_capacity(outcomes.len());
-        for outcome in outcomes {
-            points.push(outcome?);
-        }
-        Ok(points)
+        self.queue()
+            .run(hot.len(), |i| {
+                bist.measure_point(&estimators[i], i, &hot[i], &cold[i])
+            })
+            .into_iter()
+            .collect()
     }
 }
 
@@ -372,6 +355,7 @@ impl SessionBatch {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 
@@ -413,14 +397,87 @@ mod tests {
         assert_eq!(BatchPlan::sequential().worker_count(), 1);
         assert_eq!(BatchPlan::new().workers(0).worker_count(), 1);
         assert_eq!(BatchPlan::new().workers(6).worker_count(), 6);
-        assert_eq!(BatchPlan::new().workers(6).executor().workers(), 6);
     }
 
     #[test]
     fn cells_preserve_order() {
         let plan = BatchPlan::new().workers(3);
-        let out = plan.run_cells((0..10).map(|i| move || i + 100).collect::<Vec<_>>());
-        assert_eq!(out, (100..110).collect::<Vec<_>>());
+        // One-shot cells that move their captures out.
+        let words: Vec<String> = (0..10).map(|i| format!("cell {i}")).collect();
+        let out = plan.run_cells(words.iter().cloned().map(|w| move || w).collect());
+        assert_eq!(out, words);
+        // Zero or one cell runs inline on the calling thread.
+        assert!(plan.run_cells(Vec::<fn() -> u8>::new()).is_empty());
+        let caller = std::thread::current().id();
+        let inline = plan.run_cells(vec![move || std::thread::current().id() == caller]);
+        assert_eq!(inline, [true]);
+    }
+
+    #[test]
+    fn every_cell_runs_exactly_once_on_any_worker_count() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        for workers in [1usize, 2, 5] {
+            let runs: Vec<AtomicUsize> = (0..13).map(|_| AtomicUsize::new(0)).collect();
+            let cells: Vec<_> = (0..13)
+                .map(|i| {
+                    let runs = &runs;
+                    move || runs[i].fetch_add(1, Ordering::Relaxed) + i
+                })
+                .collect();
+            let out = BatchPlan::new().workers(workers).run_cells(cells);
+            assert_eq!(out, (0..13).collect::<Vec<_>>(), "workers={workers}");
+            assert!(runs.iter().all(|r| r.load(Ordering::Relaxed) == 1));
+        }
+    }
+
+    #[test]
+    fn a_panicking_cell_propagates_to_the_caller() {
+        crate::chaos::install_quiet_panic_hook();
+        for workers in [1usize, 3] {
+            let cells: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..6)
+                .map(|i| -> Box<dyn FnOnce() -> usize + Send> {
+                    Box::new(move || {
+                        if i == 4 {
+                            panic!("{}: cell {i}", crate::chaos::CHAOS_PANIC_PREFIX);
+                        }
+                        i
+                    })
+                })
+                .collect();
+            let plan = BatchPlan::new().workers(workers);
+            let caught =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| plan.run_cells(cells)));
+            assert!(caught.is_err(), "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn monte_carlo_reports_the_first_failing_trial_in_trial_order() {
+        const NAMES: [&str; 6] = ["t0", "t1", "t2", "t3", "t4", "t5"];
+        for workers in [1usize, 4] {
+            let err = BatchPlan::new()
+                .workers(workers)
+                .run_monte_carlo(6, |t| {
+                    Err(SocError::InvalidParameter {
+                        name: NAMES[t],
+                        reason: "trial rejected",
+                    })
+                })
+                .unwrap_err();
+            assert_eq!(
+                err,
+                SocError::InvalidParameter {
+                    name: "t0",
+                    reason: "trial rejected",
+                },
+                "workers={workers}"
+            );
+        }
+        let empty = BatchPlan::new()
+            .run_monte_carlo(0, |_| unreachable!("no trial to build"))
+            .unwrap();
+        assert!(empty.is_empty());
+        assert!(empty.into_measurements().is_empty());
     }
 
     #[test]

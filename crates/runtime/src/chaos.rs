@@ -18,7 +18,7 @@
 //!
 //! The `NFBIST_CHAOS=<seed>` environment variable opts a whole test
 //! run into a fixed schedule (see [`ChaosConfig::from_env`]); CI runs
-//! the fleet suite once under it.
+//! the chaos-determinism suite once more under a seed of its own.
 
 use crate::batch::derive_seed;
 use crate::error::RuntimeError;
@@ -155,8 +155,7 @@ impl ChaosConfig {
     /// Reads `NFBIST_CHAOS` and builds the default-rate schedule from
     /// it; `None` when unset or unparsable.
     pub fn from_env() -> Option<Self> {
-        let seed = std::env::var(CHAOS_ENV).ok()?.trim().parse::<u64>().ok()?;
-        Some(Self::new(seed))
+        parse_seed(&std::env::var(CHAOS_ENV).ok()?).map(Self::new)
     }
 
     /// The fault marked for task `index`, if any — a pure function of
@@ -224,6 +223,12 @@ impl ChaosConfig {
             }
         }
     }
+}
+
+/// Parses a chaos seed as [`CHAOS_ENV`] carries it, ignoring
+/// surrounding whitespace.
+fn parse_seed(raw: &str) -> Option<u64> {
+    raw.trim().parse().ok()
 }
 
 /// Installs (once per process) a panic hook that suppresses injected
@@ -332,18 +337,49 @@ mod tests {
     }
 
     #[test]
+    fn builder_settings_read_back_and_clamp() {
+        let chaos = ChaosConfig::new(77);
+        assert_eq!(chaos.seed(), 77);
+        assert_eq!(chaos.faulty_attempt_count(), 1);
+        // At least one faulty attempt, or a marked task would never fault.
+        assert_eq!(chaos.faulty_attempts(0).faulty_attempt_count(), 1);
+        assert_eq!(chaos.faulty_attempts(5).faulty_attempt_count(), 5);
+        // The default rates mark about a fifth of all tasks, each kind
+        // in its documented share.
+        let marks = chaos.scheduled_faults(10_000);
+        let share = |kind| marks.iter().filter(|(_, f)| *f == kind).count();
+        assert!((1_500..2_500).contains(&marks.len()), "{}", marks.len());
+        assert!(share(InjectedFault::Panic) > share(InjectedFault::Stall));
+        assert!(share(InjectedFault::Panic) > share(InjectedFault::AllocFailure));
+        // The schedule lists exactly the marked indices, in order.
+        assert!(marks.windows(2).all(|w| w[0].0 < w[1].0));
+        assert!(marks.iter().all(|&(i, f)| chaos.fault_for(i) == Some(f)));
+    }
+
+    #[test]
+    fn a_stall_outlasts_the_deadline_by_its_extra() {
+        let chaos = ChaosConfig::new(2)
+            .panic_rate_per_mille(0)
+            .stall_rate_per_mille(1000)
+            .stall_extra(Duration::from_millis(10));
+        assert_eq!(chaos.fault_for(0), Some(InjectedFault::Stall));
+        let deadline = Duration::from_millis(20);
+        let began = std::time::Instant::now();
+        assert_eq!(chaos.inject(0, 0, Some(deadline), 8), Ok(()));
+        assert!(began.elapsed() >= deadline + Duration::from_millis(10));
+        // A retry past the faulty attempts runs without the stall.
+        let began = std::time::Instant::now();
+        assert_eq!(chaos.inject(0, 1, Some(Duration::from_secs(60)), 8), Ok(()));
+        assert!(began.elapsed() < Duration::from_secs(60));
+    }
+
+    #[test]
     fn env_parsing() {
-        // The test harness never sets NFBIST_CHAOS with garbage; drive
-        // the parser directly through a scoped set/remove.
-        std::env::remove_var("NFBIST_CHAOS_TEST_SENTINEL");
-        // from_env reads the real variable; when CI sets it the parsed
-        // seed must round-trip, otherwise it is None.
-        match std::env::var(CHAOS_ENV) {
-            Ok(v) => {
-                let parsed = v.trim().parse::<u64>().ok();
-                assert_eq!(ChaosConfig::from_env().map(|c| c.seed()), parsed);
-            }
-            Err(_) => assert_eq!(ChaosConfig::from_env(), None),
-        }
+        // The parser `from_env` applies to the variable's value; the
+        // environment itself is process-global and stays untouched.
+        assert_eq!(parse_seed("42"), Some(42));
+        assert_eq!(parse_seed(" 42\n"), Some(42));
+        assert_eq!(parse_seed("x"), None);
+        assert_eq!(parse_seed(""), None);
     }
 }

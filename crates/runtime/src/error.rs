@@ -93,7 +93,8 @@ pub enum RuntimeError {
     /// A submission was rejected because the service is draining (or
     /// already stopped).
     ServiceShutdown,
-    /// A ticket referenced a lot the service has never seen.
+    /// A ticket referenced no job the service holds: never issued,
+    /// already taken, or abandoned by a drain.
     UnknownTicket {
         /// The unknown ticket id.
         id: u64,
@@ -138,10 +139,10 @@ impl fmt::Display for RuntimeError {
                 "task {index} quarantined after {attempts} failed attempt(s); last fault: {last}"
             ),
             RuntimeError::ServiceShutdown => {
-                write!(f, "the fleet service is draining and accepts no new lots")
+                write!(f, "the service is draining and accepts no new jobs")
             }
             RuntimeError::UnknownTicket { id } => {
-                write!(f, "no lot with ticket id {id} was ever submitted")
+                write!(f, "no job is held under ticket id {id}")
             }
             RuntimeError::Soc(e) => write!(f, "measurement error: {e}"),
         }

@@ -1,26 +1,27 @@
-//! Fleet-scale lot screening under a global memory budget: the
-//! parallel, backpressured, **fault-tolerant** twin of
-//! `nfbist_soc::fleet::LotScreen::run`.
+//! The supervised fleet plan: fan-out of independent jobs under a
+//! global memory budget, behind both lot screening
+//! ([`FleetPlan::screen_lot`], the parallel, backpressured,
+//! **fault-tolerant** twin of `nfbist_soc::fleet::LotScreen::run`) and
+//! monitoring fleets ([`FleetPlan::run_fleet`]; the plan is re-exported
+//! as [`crate::monitor::MonitorPlan`]).
 //!
 //! A lot is thousands of die-screening jobs, each a pure function of
-//! its die index. [`FleetPlan::screen_lot`] fans them across a
-//! [`WorkQueue`] (sharded claiming + work stealing) with every job
-//! first *admitted* through a [`MemoryGate`]: the job's worst-case
-//! transient memory (`LotScreen::die_cost_bytes`) must fit under the
-//! global budget before it may run, and blocked workers simply wait —
-//! backpressure. Peak RSS is therefore set by
-//! `min(workers, budget / die_cost)` concurrent jobs, **independent of
-//! lot size**.
+//! its die index. The plan fans them across a [`WorkQueue`] (sharded
+//! claiming + work stealing) with every job first *admitted* through a
+//! [`MemoryGate`]: the job's worst-case transient memory
+//! (`LotScreen::die_cost_bytes`) must fit under the global budget
+//! before it may run, and blocked workers simply wait — backpressure.
+//! Peak RSS is therefore set by `min(workers, budget / die_cost)`
+//! concurrent jobs, **independent of lot size**.
 //!
-//! Every die runs under the plan's [`TaskPolicy`]: panics are caught
-//! at the die boundary, attempts past the per-die deadline are
-//! discarded, failed dies retry with deterministic backoff, and a die
-//! that exhausts its budget is quarantined into a
-//! [`DieFault`] record — so one bad die
-//! degrades the [`LotReport`] instead of crashing the lot. An optional
-//! [`ChaosConfig`] injects seeded runtime faults (worker panics,
-//! stalls, allocation failures) in front of the die body, never into
-//! its inputs.
+//! Every job runs under the plan's [`TaskPolicy`]: panics are caught
+//! at the job boundary, attempts past the per-job deadline are
+//! discarded, failed jobs retry with deterministic backoff, and a job
+//! that exhausts its budget is quarantined into a [`DieFault`] record
+//! — so one bad die degrades the [`LotReport`] instead of crashing the
+//! lot. An optional [`ChaosConfig`] injects seeded runtime faults
+//! (worker panics, stalls, allocation failures) in front of the job
+//! body, never into its inputs.
 //!
 //! Determinism is unconditional: die outcomes depend only on
 //! `derive_seed(lot_seed, die_index)`, results are slot-indexed, and
@@ -38,7 +39,7 @@ use crate::supervisor::{TaskPolicy, Watchdog};
 use nfbist_soc::fleet::{DieFault, DieFaultKind, DieRecord, LotReport, LotScreen};
 
 /// A fleet execution plan: worker count, optional global memory budget
-/// for admission control, per-die supervision policy, and optional
+/// for admission control, per-job supervision policy, and optional
 /// seeded fault injection.
 ///
 /// # Examples
@@ -84,21 +85,20 @@ pub struct FleetPlan {
     chaos: Option<ChaosConfig>,
 }
 
+/// The chaos hook handed to a supervised job body: injects the
+/// scheduled fault for the current `(job, attempt)`, if any.
+pub(crate) type Inject<'a> = &'a (dyn Fn() -> Result<(), RuntimeError> + Sync);
+
 impl FleetPlan {
     /// A plan sized to the machine
     /// (`std::thread::available_parallelism`), unbudgeted, with the
     /// default one-attempt policy and no fault injection.
     pub fn new() -> Self {
-        FleetPlan {
-            workers: WorkQueue::with_available_parallelism().workers(),
-            budget: None,
-            policy: TaskPolicy::new(),
-            chaos: None,
-        }
+        Self::workers(WorkQueue::with_available_parallelism().workers())
     }
 
-    /// A single-worker plan: dies run inline on the calling thread, in
-    /// die order — the reference schedule.
+    /// A single-worker plan: jobs run inline on the calling thread, in
+    /// index order — the reference schedule.
     pub fn sequential() -> Self {
         Self::workers(1)
     }
@@ -119,7 +119,7 @@ impl FleetPlan {
     }
 
     /// Sets the global memory budget in bytes: at most this much
-    /// admitted die-job cost in flight at once, enforced by a
+    /// admitted job cost in flight at once, enforced by a
     /// [`MemoryGate`] with backpressure. Unset means unbounded (the
     /// worker count alone caps concurrency).
     pub fn memory_budget(mut self, bytes: usize) -> Self {
@@ -132,7 +132,7 @@ impl FleetPlan {
         self.budget
     }
 
-    /// Sets the per-die supervision policy: deadline, retry budget,
+    /// Sets the per-job supervision policy: deadline, retry budget,
     /// backoff. The default is one attempt, no deadline — panic
     /// isolation alone.
     pub const fn task_policy(mut self, policy: TaskPolicy) -> Self {
@@ -140,12 +140,12 @@ impl FleetPlan {
         self
     }
 
-    /// The per-die supervision policy in force.
+    /// The per-job supervision policy in force.
     pub const fn policy(&self) -> TaskPolicy {
         self.policy
     }
 
-    /// Arms seeded runtime fault injection: each die's jobs consult the
+    /// Arms seeded runtime fault injection: each job consults the
     /// schedule before running (see [`ChaosConfig`]).
     pub const fn chaos(mut self, chaos: ChaosConfig) -> Self {
         self.chaos = Some(chaos);
@@ -155,6 +155,55 @@ impl FleetPlan {
     /// The armed chaos schedule, if any.
     pub const fn chaos_config(&self) -> Option<ChaosConfig> {
         self.chaos
+    }
+
+    /// The one supervised fan-out behind [`FleetPlan::screen_lot`] and
+    /// [`FleetPlan::run_fleet`]: runs `body(i, inject)` for every job
+    /// `i in 0..jobs` across the plan's workers, each attempt first
+    /// admitted through the memory gate at `cost` bytes and supervised
+    /// under the plan's policy (one watchdog for the whole fan-out,
+    /// only when a deadline can expire). `inject` fires the attempt's
+    /// scheduled chaos fault; the body calls it where the fault should
+    /// land, normally first. Each slot holds the job's output or its
+    /// terminal `(attempts, kind)`.
+    pub(crate) fn fan_out<T, F>(
+        &self,
+        jobs: usize,
+        cost: usize,
+        body: F,
+    ) -> Vec<Result<T, (usize, DieFaultKind)>>
+    where
+        T: Send,
+        F: Fn(usize, Inject<'_>) -> Result<T, RuntimeError> + Sync,
+    {
+        let gate = match self.budget {
+            Some(bytes) => MemoryGate::new(bytes),
+            None => MemoryGate::unbounded(),
+        };
+        let deadline = self.policy.deadline_duration();
+        let watchdog = deadline.map(|_| Watchdog::new());
+        WorkQueue::new(self.workers)
+            .run_isolated(jobs, |i| {
+                self.policy.supervise(i, watchdog.as_ref(), |attempt| {
+                    // Admission before acquisition: the job's transient
+                    // buffers are only allocated once its cost fits
+                    // under the global budget. The guard is held for
+                    // the whole job. Under a deadline the wait itself
+                    // is bounded.
+                    let _in_flight = match deadline {
+                        Some(limit) => gate.admit_within(cost, limit)?,
+                        None => gate.admit(cost),
+                    };
+                    let inject = || match &self.chaos {
+                        Some(chaos) => chaos.inject(i, attempt, deadline, cost),
+                        None => Ok(()),
+                    };
+                    body(i, &inject)
+                })
+            })
+            .into_iter()
+            .map(|slot| slot.and_then(|inner| inner).map_err(terminal_fault))
+            .collect()
     }
 
     /// Screens every die of the lot across the plan's workers, each
@@ -211,59 +260,47 @@ impl FleetPlan {
     /// # }
     /// ```
     pub fn screen_lot(&self, screening: &LotScreen) -> Result<LotReport, RuntimeError> {
-        let gate = match self.budget {
-            Some(bytes) => MemoryGate::new(bytes),
-            None => MemoryGate::unbounded(),
-        };
-        let cost = screening.die_cost_bytes();
-        let deadline = self.policy.deadline_duration();
-        // One monitor thread for the whole lot; only spun up when a
-        // deadline can actually expire.
-        let watchdog = deadline.map(|_| Watchdog::new());
-        let results = WorkQueue::new(self.workers).run_isolated(screening.dies(), |i| {
-            self.policy.supervise(i, watchdog.as_ref(), |attempt| {
-                // Admission before acquisition: the die's transient
-                // buffers are only allocated once its cost fits under
-                // the global budget. The guard is held for the whole
-                // screen. Under a deadline the wait itself is bounded.
-                let _in_flight = match deadline {
-                    Some(limit) => gate.admit_within(cost, limit)?,
-                    None => gate.admit(cost),
-                };
-                if let Some(chaos) = &self.chaos {
-                    // On an adaptive lot, panics and stalls are
-                    // deferred into the first sequential checkpoint so
-                    // the fault lands *mid-acquisition* — after the
-                    // streaming chains hold partial chunks — proving a
-                    // quarantined die never leaks partial data into the
-                    // report's float folds. Allocation failures model a
-                    // failed *admission* and stay in front of the die
-                    // body (the probe cannot return an error anyway).
-                    let defer = screening.adaptive_screen().is_some()
-                        && !matches!(chaos.fault_for(i), None | Some(InjectedFault::AllocFailure));
-                    if defer {
-                        let probe = move |checkpoint: usize| {
-                            if checkpoint == 0 {
-                                // Only Panic/Stall reach here; neither
-                                // returns an error.
-                                let _ = chaos.inject(i, attempt, deadline, cost);
-                            }
-                        };
-                        return screening
-                            .screen_die_probed(i, &probe)
-                            .map_err(RuntimeError::from);
+        let adaptive = screening.adaptive_screen().is_some();
+        let slots = self.fan_out(screening.dies(), screening.die_cost_bytes(), |i, inject| {
+            // On an adaptive lot, panics and stalls are deferred into
+            // the first sequential checkpoint so the fault lands
+            // *mid-acquisition* — after the streaming chains hold
+            // partial chunks — proving a quarantined die never leaks
+            // partial data into the report's float folds. Allocation
+            // failures model a failed *admission* and stay in front of
+            // the die body (the probe cannot return an error anyway).
+            let defer = adaptive
+                && self.chaos.is_some_and(|chaos| {
+                    matches!(
+                        chaos.fault_for(i),
+                        Some(InjectedFault::Panic | InjectedFault::Stall)
+                    )
+                });
+            if defer {
+                let probe = |checkpoint: usize| {
+                    if checkpoint == 0 {
+                        // Only Panic/Stall reach here; neither returns
+                        // an error.
+                        let _ = inject();
                     }
-                    chaos.inject(i, attempt, deadline, cost)?;
-                }
-                screening.screen_die(i).map_err(RuntimeError::from)
-            })
+                };
+                return screening
+                    .screen_die_probed(i, &probe)
+                    .map_err(RuntimeError::from);
+            }
+            inject()?;
+            screening.screen_die(i).map_err(RuntimeError::from)
         });
-        let records = results
+        let records = slots
             .into_iter()
             .enumerate()
-            .map(|(i, slot)| match slot.and_then(|inner| inner) {
+            .map(|(die, slot)| match slot {
                 Ok(outcome) => DieRecord::Screened(outcome),
-                Err(fault) => DieRecord::Faulted(die_fault(i, fault)),
+                Err((attempts, kind)) => DieRecord::Faulted(DieFault {
+                    die,
+                    attempts,
+                    kind,
+                }),
             })
             .collect();
         screening
@@ -278,40 +315,29 @@ impl Default for FleetPlan {
     }
 }
 
-/// Renders a runtime fault into the soc-layer die-fault record the
-/// report folds. Quarantines unwrap to their terminal fault; anything
-/// else was a single-attempt loss.
-fn die_fault(die: usize, fault: RuntimeError) -> DieFault {
-    match fault {
-        RuntimeError::Quarantined { attempts, last, .. } => DieFault {
-            die,
-            attempts,
-            kind: fault_kind(*last),
-        },
-        other => DieFault {
-            die,
-            attempts: 1,
-            kind: fault_kind(other),
-        },
-    }
-}
-
-fn fault_kind(fault: RuntimeError) -> DieFaultKind {
-    match fault {
+/// Renders a job's terminal runtime fault into the attempts it used and
+/// the fault kind the soc-layer records carry. Quarantines unwrap to
+/// their last fault; anything else was a single-attempt loss.
+fn terminal_fault(fault: RuntimeError) -> (usize, DieFaultKind) {
+    let (attempts, last) = match fault {
+        RuntimeError::Quarantined { attempts, last, .. } => (attempts, *last),
+        other => (1, other),
+    };
+    let kind = match last {
         RuntimeError::TaskPanicked { message, .. } => DieFaultKind::Panicked { message },
         RuntimeError::DeadlineExceeded { .. } => DieFaultKind::DeadlineExceeded,
         RuntimeError::AllocationFailed { .. } => DieFaultKind::AllocationFailed,
         other => DieFaultKind::Error {
             message: other.to_string(),
         },
-    }
+    };
+    (attempts, kind)
 }
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use crate::chaos::InjectedFault;
     use crate::supervisor::Backoff;
     use nfbist_analog::wafer::{DefectModel, Lot, ProcessVariation, WaferMap};
     use nfbist_soc::coverage::FaultUniverse;
@@ -361,6 +387,35 @@ mod tests {
             .chaos(ChaosConfig::new(9));
         assert_eq!(plan.policy().max_attempts(), 3);
         assert_eq!(plan.chaos_config().map(|c| c.seed()), Some(9));
+    }
+
+    #[test]
+    fn terminal_faults_unwrap_quarantines() {
+        let panicked = RuntimeError::TaskPanicked {
+            index: 4,
+            message: "boom".into(),
+        };
+        assert_eq!(
+            terminal_fault(RuntimeError::Quarantined {
+                index: 4,
+                attempts: 3,
+                last: Box::new(panicked.clone()),
+            }),
+            (
+                3,
+                DieFaultKind::Panicked {
+                    message: "boom".into()
+                }
+            )
+        );
+        assert_eq!(
+            terminal_fault(RuntimeError::AllocationFailed { index: 4, bytes: 8 }),
+            (1, DieFaultKind::AllocationFailed)
+        );
+        assert!(matches!(
+            terminal_fault(RuntimeError::ResultMissing { index: 4 }),
+            (1, DieFaultKind::Error { .. })
+        ));
     }
 
     #[test]
@@ -487,6 +542,114 @@ mod tests {
         assert_eq!(faulted, stalled);
         for fault in report.faults() {
             assert_eq!(fault.kind, DieFaultKind::DeadlineExceeded);
+        }
+    }
+
+    #[test]
+    fn fan_out_holds_every_job_to_the_memory_budget() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        // Budget for two jobs of cost 10: at most two bodies may ever
+        // run at once, whatever the worker count.
+        let running = AtomicUsize::new(0);
+        let peak = AtomicUsize::new(0);
+        let slots = FleetPlan::workers(4)
+            .memory_budget(20)
+            .fan_out(24, 10, |i, inject| {
+                inject()?;
+                let now = running.fetch_add(1, Ordering::AcqRel) + 1;
+                peak.fetch_max(now, Ordering::AcqRel);
+                std::thread::sleep(Duration::from_millis(1));
+                running.fetch_sub(1, Ordering::AcqRel);
+                Ok(i * 2)
+            });
+        assert_eq!(
+            slots,
+            (0..24).map(|i| Ok(i * 2)).collect::<Vec<_>>(),
+            "slots come back in job order"
+        );
+        let peak = peak.load(Ordering::Acquire);
+        assert!((1..=2).contains(&peak), "peak concurrency {peak}");
+    }
+
+    #[test]
+    fn fan_out_injects_chaos_afresh_on_every_attempt() {
+        crate::chaos::install_quiet_panic_hook();
+        // Every job is marked for an allocation failure on its first
+        // attempt only.
+        let chaos = ChaosConfig::new(1)
+            .panic_rate_per_mille(0)
+            .stall_rate_per_mille(0)
+            .alloc_rate_per_mille(1000)
+            .faulty_attempts(1);
+        let body = |i: usize, inject: Inject<'_>| inject().map(|()| i);
+        let one_attempt = FleetPlan::workers(2).chaos(chaos).fan_out(5, 64, body);
+        assert!(one_attempt
+            .iter()
+            .all(|slot| *slot == Err((1, DieFaultKind::AllocationFailed))));
+        let retried = FleetPlan::workers(2)
+            .task_policy(TaskPolicy::new().attempts(2))
+            .chaos(chaos)
+            .fan_out(5, 64, body);
+        assert_eq!(retried, (0..5).map(Ok).collect::<Vec<_>>());
+        // Without a schedule the hook is a no-op.
+        let clean = FleetPlan::workers(2).fan_out(5, 64, body);
+        assert_eq!(clean, retried);
+    }
+
+    #[test]
+    fn fan_out_maps_body_errors_and_overruns_to_their_fault_kinds() {
+        let plan = FleetPlan::workers(3).task_policy(
+            TaskPolicy::new()
+                .attempts(2)
+                .deadline(Duration::from_millis(250)),
+        );
+        let slots = plan.fan_out(4, 1, |i, _inject| match i {
+            1 => Err(RuntimeError::TaskMissing { index: i }),
+            2 => {
+                std::thread::sleep(Duration::from_millis(500));
+                Ok(i)
+            }
+            _ => Ok(i),
+        });
+        assert_eq!(slots[0], Ok(0));
+        assert_eq!(
+            slots[1],
+            Err((
+                2,
+                DieFaultKind::Error {
+                    message: RuntimeError::TaskMissing { index: 1 }.to_string()
+                }
+            ))
+        );
+        assert_eq!(slots[2], Err((2, DieFaultKind::DeadlineExceeded)));
+        assert_eq!(slots[3], Ok(3));
+    }
+
+    #[test]
+    fn screening_errors_quarantine_dies_instead_of_failing_the_lot() {
+        // The sequential `LotScreen::run` stops at the first failing
+        // die; the plan records every die as an error fault instead.
+        let screening = small_screening(5).dut_builder(|| {
+            Err(nfbist_soc::SocError::InvalidParameter {
+                name: "dut",
+                reason: "this DUT cannot be built",
+            })
+        });
+        assert!(screening.run().is_err());
+        let report = FleetPlan::workers(2)
+            .task_policy(TaskPolicy::new().attempts(2))
+            .screen_lot(&screening)
+            .unwrap();
+        assert_eq!(report.status(), LotStatus::Degraded);
+        assert_eq!(report.faulted(), screening.dies());
+        assert_eq!(report.outcomes().count(), 0);
+        for (die, fault) in report.faults().enumerate() {
+            assert_eq!((fault.die, fault.attempts), (die, 2));
+            assert!(
+                matches!(&fault.kind, DieFaultKind::Error { message } if message.contains("this DUT cannot be built")),
+                "{:?}",
+                fault.kind
+            );
         }
     }
 }

@@ -10,13 +10,11 @@
 //! This crate is the seam that delivers it:
 //!
 //! * [`queue::WorkQueue`] — the scheduling substrate: a sharded
-//!   work-stealing index queue over scoped threads, plus
-//!   [`queue::MemoryGate`], the global memory-budget admission gate
-//!   whose backpressure bounds peak RSS independent of batch size.
-//! * [`executor::BatchExecutor`] — a scoped-thread worker pool
-//!   (std-only, no external runtime) returning slot-indexed results,
-//!   so reduction order never depends on scheduling. One worker runs
-//!   tasks inline on the calling thread.
+//!   work-stealing index queue over scoped threads (std-only, no
+//!   external runtime) returning slot-indexed results, so reduction
+//!   order never depends on scheduling, plus [`queue::MemoryGate`], the
+//!   global memory-budget admission gate whose backpressure bounds
+//!   peak RSS independent of batch size.
 //! * [`batch::BatchPlan`] — batch entry points over the measurement
 //!   stack: [`batch::BatchPlan::run_session`] fans a session's repeats
 //!   out (bit-identical to `MeasurementSession::run`),
@@ -31,10 +29,15 @@
 //! * [`batch::derive_seed`] — deterministic per-index seed derivation
 //!   (golden-ratio walk + SplitMix64 finalizer), hashed so trial-level
 //!   seeds never alias the session's arithmetic per-repeat walk.
-//! * [`fleet::FleetPlan`] — fleet-scale lot screening: thousands of
-//!   die jobs fanned over the work queue, each admitted through the
-//!   memory gate, folded into a `LotReport` that is bit-identical
-//!   across worker counts, budgets and admission orderings.
+//! * [`fleet::FleetPlan`] — the one supervised plan for fleets of
+//!   independent jobs: each admitted through the memory gate,
+//!   supervised and optionally chaos-injected.
+//!   [`fleet::FleetPlan::screen_lot`] screens thousands of dies into a
+//!   `LotReport` that is bit-identical across worker counts, budgets
+//!   and admission orderings; [`fleet::FleetPlan::run_fleet`] (the
+//!   plan is re-exported as [`monitor::MonitorPlan`]) runs in-field
+//!   `MonitorSession` missions with every surviving alarm timeline
+//!   bit-identical to its solo run.
 //! * [`error::RuntimeError`] — the typed runtime-fault taxonomy
 //!   (panic, deadline, admission timeout, quarantine, …) that turned
 //!   the engine's ad-hoc panics and `expect`s into recoverable
@@ -47,14 +50,10 @@
 //!   scheduled worker panics, slow-die stalls and allocation-failure
 //!   simulation, reproducible bit for bit from one seed
 //!   (`NFBIST_CHAOS` opts a whole test run in).
-//! * [`service::FleetService`] — the long-running screening service:
-//!   lots submitted over time to a supervised worker loop, graceful
-//!   drain on shutdown, health snapshots mid-flight.
-//! * [`monitor::MonitorPlan`] / [`monitor::MonitorService`] — the
-//!   continuous-monitoring twins: fleets of in-field
-//!   `MonitorSession` missions fanned out, admitted, supervised and
-//!   chaos-hardened exactly like lot screening, with every surviving
-//!   alarm timeline bit-identical to its solo run.
+//! * [`service::Service`] — the long-running service: lot screens or
+//!   monitor fleets ([`service::Job`]) submitted over time to a
+//!   supervised worker loop, graceful drain on shutdown, health
+//!   snapshots mid-flight.
 //!
 //! ## Example
 //!
@@ -84,7 +83,6 @@
 pub mod batch;
 pub mod chaos;
 pub mod error;
-pub mod executor;
 pub mod fleet;
 pub mod monitor;
 pub mod queue;
@@ -94,9 +92,7 @@ pub mod supervisor;
 pub use batch::{derive_seed, BatchPlan, SessionBatch};
 pub use chaos::ChaosConfig;
 pub use error::RuntimeError;
-pub use executor::BatchExecutor;
 pub use fleet::FleetPlan;
-pub use monitor::{MonitorPlan, MonitorService};
 pub use queue::{MemoryGate, WorkQueue};
-pub use service::{FleetService, HealthSnapshot, LotTicket};
+pub use service::{HealthSnapshot, Job, Service, Ticket};
 pub use supervisor::{Backoff, TaskPolicy, Watchdog};

@@ -1,18 +1,17 @@
 //! Fleet-scale continuous monitoring: many concurrent
-//! [`MonitorSession`] missions under one supervised, budgeted,
-//! chaos-hardened runtime — the monitoring twin of
-//! [`crate::fleet::FleetPlan`] / [`crate::service::FleetService`].
+//! [`MonitorSession`] missions under the one supervised, budgeted,
+//! chaos-hardened [`crate::fleet::FleetPlan`] that also screens lots.
 //!
 //! A fielded product is not one monitored part but a population:
 //! every unit runs its own unbounded acquisition → windowed-estimator
 //! → CUSUM pipeline, and the maintenance backend wants the resulting
 //! alarm timelines without one wedged unit taking the collector down.
-//! [`MonitorPlan::run_fleet`] fans `n` missions across a
-//! [`WorkQueue`], admits each through a global [`MemoryGate`], runs it
-//! under the plan's [`TaskPolicy`] (panic isolation, deadline, retry,
-//! quarantine) with optional seeded [`ChaosConfig`] faults in front of
-//! the mission body, and returns slot-indexed
-//! [`MonitorOutcome`]s.
+//! [`MonitorPlan::run_fleet`] fans `n` missions across the plan's
+//! workers through the same supervised fan-out as lot screening —
+//! memory-gate admission, [`TaskPolicy`](crate::supervisor::TaskPolicy)
+//! panic isolation, deadline, retry and quarantine, optional seeded
+//! [`ChaosConfig`](crate::chaos::ChaosConfig) faults in front of the
+//! mission body — and returns slot-indexed [`MonitorOutcome`]s.
 //!
 //! Determinism is inherited, not negotiated: a mission's timeline is a
 //! pure function of its [`MonitorSession`] configuration (the builder
@@ -21,23 +20,18 @@
 //! so every monitor that survives a chaos run returns exactly the
 //! clean run's timeline, for any worker count and budget.
 //!
-//! [`MonitorService`] is the long-running form: monitor fleets
-//! submitted over time to a dedicated service thread, graceful drain
-//! on shutdown, health snapshots mid-flight — the same contract as
-//! [`crate::service::FleetService`], with fleets of missions instead
-//! of lots of dies.
+//! The long-running form is [`crate::service::Service`] over
+//! [`MonitorFleet`] jobs: fleets submitted over time, graceful drain on
+//! shutdown, health snapshots mid-flight.
 
-use crate::chaos::ChaosConfig;
-use crate::error::{panic_message, RuntimeError};
-use crate::queue::{MemoryGate, WorkQueue};
-use crate::supervisor::{TaskPolicy, Watchdog};
+use crate::error::RuntimeError;
 use nfbist_soc::fleet::DieFaultKind;
 use nfbist_soc::monitor::{AlarmKind, MonitorReport, MonitorSession};
 use nfbist_soc::SocError;
-use std::collections::{HashMap, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::thread::{self, JoinHandle};
+
+/// The monitoring name of the one supervised plan: a plan that screens
+/// lots also runs monitor fleets.
+pub use crate::fleet::FleetPlan as MonitorPlan;
 
 /// Builds the mission for one monitor index — the only input a fleet
 /// monitor gets, so the whole fleet is a pure function of the closure.
@@ -142,109 +136,7 @@ impl MonitorFleetReport {
     }
 }
 
-/// A monitoring-fleet execution plan: worker count, optional global
-/// memory budget for admission control, per-mission supervision
-/// policy, optional seeded fault injection.
-///
-/// # Examples
-///
-/// ```
-/// use nfbist_runtime::monitor::MonitorPlan;
-/// use nfbist_soc::monitor::MonitorSession;
-/// use nfbist_soc::session::derive_seed;
-/// use nfbist_soc::setup::BistSetup;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// // 4 independent missions over 2 workers; per-monitor seeds are
-/// // derived inside the builder, so the fleet reproduces exactly.
-/// let fleet = MonitorPlan::workers(2).run_fleet(4, 1 << 16, |i| {
-///     let mut setup = BistSetup::quick(derive_seed(7, i as u64));
-///     setup.samples = 1 << 14;
-///     setup.nfft = 1_024;
-///     MonitorSession::new(setup)
-/// });
-/// assert_eq!(fleet.completed(), 4);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MonitorPlan {
-    workers: usize,
-    budget: Option<usize>,
-    policy: TaskPolicy,
-    chaos: Option<ChaosConfig>,
-}
-
 impl MonitorPlan {
-    /// A plan sized to the machine, unbudgeted, with the default
-    /// one-attempt policy and no fault injection.
-    pub fn new() -> Self {
-        MonitorPlan {
-            workers: WorkQueue::with_available_parallelism().workers(),
-            budget: None,
-            policy: TaskPolicy::new(),
-            chaos: None,
-        }
-    }
-
-    /// A single-worker plan: missions run inline on the calling
-    /// thread, in monitor order — the reference schedule.
-    pub fn sequential() -> Self {
-        Self::workers(1)
-    }
-
-    /// A plan with an explicit worker count (clamped to ≥ 1).
-    pub fn workers(n: usize) -> Self {
-        MonitorPlan {
-            workers: n.max(1),
-            budget: None,
-            policy: TaskPolicy::new(),
-            chaos: None,
-        }
-    }
-
-    /// The configured worker count.
-    pub fn worker_count(&self) -> usize {
-        self.workers
-    }
-
-    /// Sets the global memory budget in bytes: at most this much
-    /// admitted mission cost in flight at once, enforced by a
-    /// [`MemoryGate`] with backpressure.
-    pub fn memory_budget(mut self, bytes: usize) -> Self {
-        self.budget = Some(bytes);
-        self
-    }
-
-    /// The global memory budget, if set.
-    pub fn memory_budget_bytes(&self) -> Option<usize> {
-        self.budget
-    }
-
-    /// Sets the per-mission supervision policy: deadline, retry
-    /// budget, backoff.
-    pub const fn task_policy(mut self, policy: TaskPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// The per-mission supervision policy in force.
-    pub const fn policy(&self) -> TaskPolicy {
-        self.policy
-    }
-
-    /// Arms seeded runtime fault injection in front of each mission
-    /// body (see [`ChaosConfig`]).
-    pub const fn chaos(mut self, chaos: ChaosConfig) -> Self {
-        self.chaos = Some(chaos);
-        self
-    }
-
-    /// The armed chaos schedule, if any.
-    pub const fn chaos_config(&self) -> Option<ChaosConfig> {
-        self.chaos
-    }
-
     /// Runs `monitors` missions across the plan's workers. `build`
     /// receives each monitor's fleet index and constructs its mission;
     /// `cost_bytes` is one mission's worst-case transient memory, the
@@ -257,374 +149,74 @@ impl MonitorPlan {
     /// [`MonitorOutcome::Faulted`] slot; every other slot carries a
     /// report bit-identical to a solo run of the same mission — for
     /// any worker count, budget, and chaos schedule.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use nfbist_runtime::monitor::MonitorPlan;
+    /// use nfbist_soc::monitor::MonitorSession;
+    /// use nfbist_soc::session::derive_seed;
+    /// use nfbist_soc::setup::BistSetup;
+    ///
+    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+    /// // 4 independent missions over 2 workers; per-monitor seeds are
+    /// // derived inside the builder, so the fleet reproduces exactly.
+    /// let fleet = MonitorPlan::workers(2).run_fleet(4, 1 << 16, |i| {
+    ///     let mut setup = BistSetup::quick(derive_seed(7, i as u64));
+    ///     setup.samples = 1 << 14;
+    ///     setup.nfft = 1_024;
+    ///     MonitorSession::new(setup)
+    /// });
+    /// assert_eq!(fleet.completed(), 4);
+    /// # Ok(())
+    /// # }
+    /// ```
     pub fn run_fleet<F>(&self, monitors: usize, cost_bytes: usize, build: F) -> MonitorFleetReport
     where
         F: Fn(usize) -> Result<MonitorSession, SocError> + Sync,
     {
-        let gate = match self.budget {
-            Some(bytes) => MemoryGate::new(bytes),
-            None => MemoryGate::unbounded(),
-        };
-        let deadline = self.policy.deadline_duration();
-        let watchdog = deadline.map(|_| Watchdog::new());
-        let results = WorkQueue::new(self.workers).run_isolated(monitors, |i| {
-            self.policy.supervise(i, watchdog.as_ref(), |attempt| {
-                // Admission before construction: a mission's buffers
-                // only come to life once its cost fits under the
-                // global budget. The guard is held for the mission.
-                let _in_flight = match deadline {
-                    Some(limit) => gate.admit_within(cost_bytes, limit)?,
-                    None => gate.admit(cost_bytes),
-                };
-                if let Some(chaos) = &self.chaos {
-                    chaos.inject(i, attempt, deadline, cost_bytes)?;
-                }
+        let outcomes = self
+            .fan_out(monitors, cost_bytes, |i, inject| {
+                inject()?;
                 build(i)
                     .and_then(|mission| mission.run())
                     .map_err(RuntimeError::from)
             })
-        });
-        let outcomes = results
             .into_iter()
             .enumerate()
-            .map(|(i, slot)| match slot.and_then(|inner| inner) {
+            .map(|(monitor, slot)| match slot {
                 Ok(report) => MonitorOutcome::Completed(report),
-                Err(fault) => MonitorOutcome::Faulted(monitor_fault(i, fault)),
+                Err((attempts, kind)) => MonitorOutcome::Faulted(MonitorFault {
+                    monitor,
+                    attempts,
+                    kind,
+                }),
             })
             .collect();
         MonitorFleetReport { outcomes }
     }
 }
 
-impl Default for MonitorPlan {
-    fn default() -> Self {
-        Self::new()
-    }
+/// A monitor fleet as one [`crate::service::Service`] job:
+/// [`MonitorPlan::run_fleet`]'s arguments, owned.
+pub struct MonitorFleet {
+    pub(crate) monitors: usize,
+    pub(crate) cost_bytes: usize,
+    pub(crate) build: Box<MonitorBuilder>,
 }
 
-/// Renders a runtime fault into a quarantine record; quarantines
-/// unwrap to their terminal fault, anything else was a single-attempt
-/// loss.
-fn monitor_fault(monitor: usize, fault: RuntimeError) -> MonitorFault {
-    match fault {
-        RuntimeError::Quarantined { attempts, last, .. } => MonitorFault {
-            monitor,
-            attempts,
-            kind: terminal_kind(*last),
-        },
-        other => MonitorFault {
-            monitor,
-            attempts: 1,
-            kind: terminal_kind(other),
-        },
-    }
-}
-
-fn terminal_kind(fault: RuntimeError) -> DieFaultKind {
-    match fault {
-        RuntimeError::TaskPanicked { message, .. } => DieFaultKind::Panicked { message },
-        RuntimeError::DeadlineExceeded { .. } => DieFaultKind::DeadlineExceeded,
-        RuntimeError::AllocationFailed { .. } => DieFaultKind::AllocationFailed,
-        other => DieFaultKind::Error {
-            message: other.to_string(),
-        },
-    }
-}
-
-/// A claim on one submitted monitor fleet's eventual report.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct FleetTicket {
-    id: u64,
-}
-
-impl FleetTicket {
-    /// The service-assigned fleet id (submission order, starting at 0).
-    pub const fn id(&self) -> u64 {
-        self.id
-    }
-}
-
-/// A point-in-time view of the monitoring service's health.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MonitorHealth {
-    /// Fleets submitted but not yet started.
-    pub queued: usize,
-    /// Whether a fleet is running right now.
-    pub running: bool,
-    /// Fleets finished over the service lifetime.
-    pub completed_fleets: u64,
-    /// Missions completed to a timeline across all finished fleets.
-    pub completed_monitors: u64,
-    /// Missions lost to runtime faults across all finished fleets.
-    pub faulted_monitors: u64,
-    /// Whether the service is draining (no new submissions).
-    pub draining: bool,
-}
-
-struct FleetJob {
-    monitors: usize,
-    cost_bytes: usize,
-    build: Box<MonitorBuilder>,
-}
-
-struct MonitorServiceState {
-    queue: VecDeque<(u64, FleetJob)>,
-    results: HashMap<u64, Result<MonitorFleetReport, RuntimeError>>,
-    running: Option<u64>,
-    next_id: u64,
-    draining: bool,
-    completed_fleets: u64,
-    completed_monitors: u64,
-    faulted_monitors: u64,
-}
-
-struct MonitorShared {
-    state: Mutex<MonitorServiceState>,
-    submitted: Condvar,
-    finished: Condvar,
-}
-
-impl MonitorShared {
-    fn lock(&self) -> MutexGuard<'_, MonitorServiceState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-/// The long-running monitoring service: monitor fleets submitted over
-/// time to a dedicated supervised service thread, graceful drain on
-/// shutdown, health snapshots mid-flight — the monitoring sibling of
-/// [`crate::service::FleetService`].
-///
-/// # Examples
-///
-/// ```
-/// use nfbist_runtime::monitor::{MonitorPlan, MonitorService};
-/// use nfbist_soc::monitor::MonitorSession;
-/// use nfbist_soc::session::derive_seed;
-/// use nfbist_soc::setup::BistSetup;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut service = MonitorService::start(MonitorPlan::workers(2));
-/// let ticket = service.submit(3, 1 << 16, |i| {
-///     let mut setup = BistSetup::quick(derive_seed(5, i as u64));
-///     setup.samples = 1 << 14;
-///     setup.nfft = 1_024;
-///     MonitorSession::new(setup)
-/// })?;
-/// let fleet = service.wait(ticket)?;
-/// assert_eq!(fleet.completed(), 3);
-/// service.shutdown(); // graceful drain
-/// # Ok(())
-/// # }
-/// ```
-pub struct MonitorService {
-    shared: Arc<MonitorShared>,
-    plan: MonitorPlan,
-    worker: Option<JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for MonitorService {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MonitorService")
-            .field("plan", &self.plan)
-            .field("health", &self.health())
-            .finish()
-    }
-}
-
-impl MonitorService {
-    /// Starts the service thread; every submitted fleet runs under
-    /// `plan`.
-    pub fn start(plan: MonitorPlan) -> Self {
-        let shared = Arc::new(MonitorShared {
-            state: Mutex::new(MonitorServiceState {
-                queue: VecDeque::new(),
-                results: HashMap::new(),
-                running: None,
-                next_id: 0,
-                draining: false,
-                completed_fleets: 0,
-                completed_monitors: 0,
-                faulted_monitors: 0,
-            }),
-            submitted: Condvar::new(),
-            finished: Condvar::new(),
-        });
-        let loop_shared = Arc::clone(&shared);
-        let worker = thread::Builder::new()
-            .name("nfbist-monitor-service".to_string())
-            .spawn(move || Self::service_loop(&loop_shared, plan))
-            .ok();
-        MonitorService {
-            shared,
-            plan,
-            worker,
-        }
-    }
-
-    fn service_loop(shared: &MonitorShared, plan: MonitorPlan) {
-        loop {
-            let (id, job) = {
-                let mut state = shared.lock();
-                loop {
-                    if let Some(job) = state.queue.pop_front() {
-                        state.running = Some(job.0);
-                        break job;
-                    }
-                    if state.draining {
-                        return;
-                    }
-                    state = shared
-                        .submitted
-                        .wait(state)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-            };
-            // Per-mission isolation lives in run_fleet; this unwind
-            // guard keeps an engine-level panic from killing the loop.
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                plan.run_fleet(job.monitors, job.cost_bytes, &*job.build)
-            }))
-            .map_err(|payload| RuntimeError::TaskPanicked {
-                index: 0,
-                message: format!(
-                    "monitor fleet panicked: {}",
-                    panic_message(payload.as_ref())
-                ),
-            });
-            let mut state = shared.lock();
-            state.completed_fleets += 1;
-            if let Ok(fleet) = &result {
-                state.completed_monitors += fleet.completed() as u64;
-                state.faulted_monitors += fleet.faulted() as u64;
-            }
-            state.results.insert(id, result);
-            state.running = None;
-            drop(state);
-            shared.finished.notify_all();
-        }
-    }
-
-    /// The plan every fleet runs under.
-    pub const fn plan(&self) -> MonitorPlan {
-        self.plan
-    }
-
-    /// Submits a fleet of `monitors` missions and returns the ticket
-    /// its report will be filed under; `build` and `cost_bytes` are
+impl MonitorFleet {
+    /// A fleet of `monitors` missions; `cost_bytes` and `build` are
     /// [`MonitorPlan::run_fleet`]'s parameters.
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::ServiceShutdown`] once the service is draining.
-    pub fn submit<F>(
-        &self,
-        monitors: usize,
-        cost_bytes: usize,
-        build: F,
-    ) -> Result<FleetTicket, RuntimeError>
+    pub fn new<F>(monitors: usize, cost_bytes: usize, build: F) -> Self
     where
         F: Fn(usize) -> Result<MonitorSession, SocError> + Send + Sync + 'static,
     {
-        let mut state = self.shared.lock();
-        if state.draining {
-            return Err(RuntimeError::ServiceShutdown);
+        MonitorFleet {
+            monitors,
+            cost_bytes,
+            build: Box::new(build),
         }
-        let id = state.next_id;
-        state.next_id += 1;
-        state.queue.push_back((
-            id,
-            FleetJob {
-                monitors,
-                cost_bytes,
-                build: Box::new(build),
-            },
-        ));
-        drop(state);
-        self.shared.submitted.notify_all();
-        Ok(FleetTicket { id })
-    }
-
-    /// Takes the ticket's fleet report if it is ready, without
-    /// blocking. `Ok(None)` means the fleet is still queued or running.
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::UnknownTicket`] for a ticket never issued or
-    /// already taken; the fleet's own fault when it failed outright.
-    pub fn try_take(
-        &self,
-        ticket: FleetTicket,
-    ) -> Result<Option<MonitorFleetReport>, RuntimeError> {
-        let mut state = self.shared.lock();
-        match state.results.remove(&ticket.id) {
-            Some(result) => result.map(Some),
-            None if Self::pending(&state, ticket.id) => Ok(None),
-            None => Err(RuntimeError::UnknownTicket { id: ticket.id }),
-        }
-    }
-
-    /// Blocks until the ticket's fleet has finished and returns its
-    /// report (each ticket's report can be taken once).
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::UnknownTicket`] for a ticket never issued,
-    /// already taken, or abandoned by a drain before the fleet
-    /// started; the fleet's own fault when it failed outright.
-    pub fn wait(&self, ticket: FleetTicket) -> Result<MonitorFleetReport, RuntimeError> {
-        let mut state = self.shared.lock();
-        loop {
-            if let Some(result) = state.results.remove(&ticket.id) {
-                return result;
-            }
-            if !Self::pending(&state, ticket.id) {
-                return Err(RuntimeError::UnknownTicket { id: ticket.id });
-            }
-            state = self
-                .shared
-                .finished
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    fn pending(state: &MonitorServiceState, id: u64) -> bool {
-        state.running == Some(id) || state.queue.iter().any(|(qid, _)| *qid == id)
-    }
-
-    /// A point-in-time health snapshot.
-    pub fn health(&self) -> MonitorHealth {
-        let state = self.shared.lock();
-        MonitorHealth {
-            queued: state.queue.len(),
-            running: state.running.is_some(),
-            completed_fleets: state.completed_fleets,
-            completed_monitors: state.completed_monitors,
-            faulted_monitors: state.faulted_monitors,
-            draining: state.draining,
-        }
-    }
-
-    /// Gracefully drains the service: refuses new submissions,
-    /// finishes every queued fleet, joins the service thread. Results
-    /// of drained fleets remain collectable. Idempotent.
-    pub fn shutdown(&mut self) {
-        {
-            let mut state = self.shared.lock();
-            state.draining = true;
-        }
-        self.shared.submitted.notify_all();
-        if let Some(handle) = self.worker.take() {
-            let _ = handle.join();
-        }
-        self.shared.finished.notify_all();
-    }
-}
-
-impl Drop for MonitorService {
-    fn drop(&mut self) {
-        self.shutdown();
     }
 }
 
@@ -632,6 +224,8 @@ impl Drop for MonitorService {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use crate::chaos::ChaosConfig;
+    use crate::supervisor::TaskPolicy;
     use nfbist_soc::session::derive_seed;
     use nfbist_soc::setup::BistSetup;
 
@@ -650,20 +244,6 @@ mod tests {
 
     fn build(i: usize) -> Result<MonitorSession, SocError> {
         mission(derive_seed(31, i as u64))
-    }
-
-    #[test]
-    fn plan_construction() {
-        assert_eq!(MonitorPlan::sequential().worker_count(), 1);
-        assert_eq!(MonitorPlan::workers(0).worker_count(), 1);
-        assert_eq!(MonitorPlan::default(), MonitorPlan::new());
-        let plan = MonitorPlan::workers(2)
-            .memory_budget(1 << 20)
-            .task_policy(TaskPolicy::new().attempts(3))
-            .chaos(ChaosConfig::new(9));
-        assert_eq!(plan.memory_budget_bytes(), Some(1 << 20));
-        assert_eq!(plan.policy().max_attempts(), 3);
-        assert_eq!(plan.chaos_config().map(|c| c.seed()), Some(9));
     }
 
     #[test]
@@ -738,50 +318,95 @@ mod tests {
     }
 
     #[test]
-    fn service_streams_fleets_and_drains_gracefully() {
-        let mut service = MonitorService::start(MonitorPlan::workers(2));
-        let a = service.submit(2, 1 << 16, build).unwrap();
-        let b = service.submit(2, 1 << 16, build).unwrap();
-        assert_eq!((a.id(), b.id()), (0, 1));
-        let direct = MonitorPlan::workers(2).run_fleet(2, 1 << 16, build);
-        let fleet = service.wait(a).unwrap();
-        assert_eq!(fleet, direct, "service fleet must match direct run");
+    fn builder_errors_quarantine_only_their_monitor() {
+        let fleet = MonitorPlan::workers(2)
+            .task_policy(TaskPolicy::new().attempts(2))
+            .run_fleet(3, 1 << 16, |i| {
+                if i == 1 {
+                    Err(SocError::InvalidParameter {
+                        name: "mission",
+                        reason: "monitor 1 has no setup",
+                    })
+                } else {
+                    build(i)
+                }
+            });
         assert_eq!(
-            service.wait(a),
-            Err(RuntimeError::UnknownTicket { id: 0 }),
-            "a ticket's report can be taken once"
+            (fleet.monitors(), fleet.completed(), fleet.faulted()),
+            (3, 2, 1)
         );
-        service.shutdown();
-        assert!(service.wait(b).is_ok(), "drain must finish queued fleets");
-        let health = service.health();
-        assert_eq!(health.completed_fleets, 2);
-        assert_eq!(health.completed_monitors, 4);
-        assert_eq!(health.faulted_monitors, 0);
-        assert!(health.draining);
-        assert_eq!(
-            service.submit(1, 1 << 16, build).unwrap_err(),
-            RuntimeError::ServiceShutdown
+        let fault = fleet.outcomes()[1].fault().unwrap();
+        assert_eq!((fault.monitor, fault.attempts), (1, 2));
+        assert!(
+            matches!(&fault.kind, DieFaultKind::Error { message } if message.contains("monitor 1 has no setup")),
+            "{:?}",
+            fault.kind
         );
-        service.shutdown(); // idempotent
+        assert!(fleet.outcomes()[1].report().is_none());
+        // The other slots are the solo runs of their missions.
+        let indices: Vec<usize> = fleet.reports().map(|(i, _)| i).collect();
+        assert_eq!(indices, [0, 2]);
+        for (i, report) in fleet.reports() {
+            assert!(fleet.outcomes()[i].fault().is_none());
+            let solo = build(i).unwrap().run().unwrap();
+            assert_eq!(report.series_signature(), solo.series_signature());
+        }
     }
 
     #[test]
-    fn try_take_polls_without_blocking() {
-        let service = MonitorService::start(MonitorPlan::workers(2));
-        let ticket = service.submit(1, 1 << 16, build).unwrap();
-        loop {
-            match service.try_take(ticket) {
-                Ok(None) => thread::yield_now(),
-                Ok(Some(fleet)) => {
-                    assert_eq!(fleet.completed(), 1);
-                    break;
-                }
-                Err(e) => panic!("live ticket must not error: {e}"),
-            }
+    fn allocation_chaos_quarantines_as_allocation_failures() {
+        let chaos = ChaosConfig::new(3)
+            .panic_rate_per_mille(0)
+            .stall_rate_per_mille(0)
+            .alloc_rate_per_mille(500);
+        let marked: Vec<usize> = chaos
+            .scheduled_faults(4)
+            .into_iter()
+            .map(|(i, _)| i)
+            .collect();
+        assert!(!marked.is_empty(), "seed must mark some monitors");
+        let fleet = MonitorPlan::workers(2)
+            .chaos(chaos)
+            .run_fleet(4, 1 << 16, build);
+        let faults: Vec<&MonitorFault> = fleet.faults().collect();
+        assert_eq!(faults.iter().map(|f| f.monitor).collect::<Vec<_>>(), marked);
+        for fault in faults {
+            assert_eq!(fault.attempts, 1);
+            assert_eq!(fault.kind, DieFaultKind::AllocationFailed);
         }
-        assert!(matches!(
-            service.try_take(FleetTicket { id: 404 }),
-            Err(RuntimeError::UnknownTicket { id: 404 })
-        ));
+    }
+
+    #[test]
+    fn empty_fleet_reports_no_monitors() {
+        let fleet = MonitorPlan::workers(4).run_fleet(0, 1 << 16, build);
+        assert_eq!(fleet.monitors(), 0);
+        assert_eq!((fleet.completed(), fleet.faulted()), (0, 0));
+        assert!(!fleet.degraded());
+        assert_eq!(fleet.reports().count(), 0);
+        assert!(fleet.monitors_with(AlarmKind::WarmupComplete).is_empty());
+    }
+
+    #[test]
+    fn monitors_with_lists_survivors_holding_the_event() {
+        crate::chaos::install_quiet_panic_hook();
+        let chaos = ChaosConfig::new(7)
+            .panic_rate_per_mille(250)
+            .stall_rate_per_mille(0)
+            .alloc_rate_per_mille(0);
+        let fleet = MonitorPlan::workers(2)
+            .chaos(chaos)
+            .run_fleet(6, 1 << 16, build);
+        let survivors: Vec<usize> = fleet.reports().map(|(i, _)| i).collect();
+        assert!(survivors.len() < 6, "seed must quarantine some monitors");
+        // Every mission outlives its warm-up, so exactly the survivors
+        // carry the warm-up event; a faulted monitor carries none.
+        assert_eq!(fleet.monitors_with(AlarmKind::WarmupComplete), survivors);
+        for (i, report) in fleet.reports() {
+            let has_drift = report.first_event(AlarmKind::DriftAlarm).is_some();
+            assert_eq!(
+                fleet.monitors_with(AlarmKind::DriftAlarm).contains(&i),
+                has_drift
+            );
+        }
     }
 }

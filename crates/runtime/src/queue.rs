@@ -1,8 +1,8 @@
 //! The sharded task queue and the global memory-admission gate — the
-//! scheduling substrate of fleet-scale screening.
+//! scheduling substrate of batch fan-out and fleet-scale screening.
 //!
-//! [`WorkQueue`] generalizes the slot executor's single shared index
-//! into per-worker **shards with work stealing**: each worker owns a
+//! [`WorkQueue`] splits the task indices into per-worker **shards
+//! with work stealing**: each worker owns a
 //! contiguous index range and claims from it with one atomic
 //! increment; a worker whose shard runs dry steals from its
 //! neighbours' shards. Contiguous shards keep each worker walking
@@ -594,6 +594,46 @@ mod tests {
         let _a = gate.admit(usize::MAX);
         let _b = gate.admit(usize::MAX);
         assert_eq!(gate.in_flight(), 0, "unbounded admissions carry no cost");
+    }
+
+    #[test]
+    fn a_blocked_admission_proceeds_once_a_holder_releases() {
+        let gate = MemoryGate::new(10);
+        let holder = gate.admit(8);
+        let admitted = AtomicBool::new(false);
+        thread::scope(|scope| {
+            let waiter = scope.spawn(|| {
+                // 5 more bytes do not fit beside the 8 in flight.
+                let guard = gate.admit(5);
+                admitted.store(true, Ordering::Release);
+                guard.cost()
+            });
+            thread::sleep(Duration::from_millis(30));
+            assert!(!admitted.load(Ordering::Acquire), "admitted past capacity");
+            assert_eq!(gate.in_flight(), 8);
+            drop(holder);
+            assert_eq!(waiter.join().unwrap(), 5);
+        });
+        assert!(admitted.load(Ordering::Acquire));
+        assert_eq!(gate.in_flight(), 0);
+    }
+
+    #[test]
+    fn a_bounded_admission_succeeds_when_room_frees_in_time() {
+        let gate = MemoryGate::new(4);
+        let holder = gate.admit(4);
+        thread::scope(|scope| {
+            scope.spawn(move || {
+                thread::sleep(Duration::from_millis(20));
+                drop(holder);
+            });
+            let guard = gate
+                .admit_within(3, Duration::from_secs(30))
+                .expect("the release must wake the bounded wait");
+            assert_eq!(guard.cost(), 3);
+            assert_eq!(gate.in_flight(), 3);
+        });
+        assert_eq!(gate.in_flight(), 0);
     }
 
     #[test]

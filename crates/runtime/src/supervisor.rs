@@ -620,6 +620,50 @@ mod tests {
     }
 
     #[test]
+    fn backoff_pauses_between_attempts_only() {
+        let pause = Duration::from_millis(15);
+        let policy = TaskPolicy::new().attempts(3).backoff(Backoff::fixed(pause));
+        let mut starts = Vec::new();
+        let began = Instant::now();
+        let err = policy
+            .supervise::<()>(0, None, |_| {
+                starts.push(began.elapsed());
+                Err(RuntimeError::ResultMissing { index: 0 })
+            })
+            .unwrap_err();
+        assert!(matches!(err, RuntimeError::Quarantined { attempts: 3, .. }));
+        assert_eq!(starts.len(), 3);
+        // Each retry waits at least one pause after the previous start.
+        for pair in starts.windows(2) {
+            assert!(pair[1] - pair[0] >= pause, "starts {starts:?}");
+        }
+    }
+
+    #[test]
+    fn quarantine_carries_the_final_attempts_fault() {
+        let err = TaskPolicy::new()
+            .attempts(3)
+            .supervise::<()>(9, None, |attempt| {
+                if attempt == 1 {
+                    panic!("second attempt panics");
+                }
+                Err(RuntimeError::AllocationFailed {
+                    index: 9,
+                    bytes: attempt,
+                })
+            })
+            .unwrap_err();
+        assert_eq!(
+            err,
+            RuntimeError::Quarantined {
+                index: 9,
+                attempts: 3,
+                last: Box::new(RuntimeError::AllocationFailed { index: 9, bytes: 2 }),
+            }
+        );
+    }
+
+    #[test]
     fn watchdog_guards_disarm_cleanly() {
         let dog = Watchdog::new();
         for _ in 0..16 {

@@ -15,10 +15,12 @@
 //!   [`nfbist_core::power_ratio::PowerRatioEstimator`].
 //! * [`nfbist_soc`] — the SoC measurement environment, centred on
 //!   [`nfbist_soc::session::MeasurementSession`].
-//! * [`nfbist_runtime`] — the parallel batch-execution engine:
-//!   [`nfbist_runtime::BatchExecutor`] and
+//! * [`nfbist_runtime`] — the parallel execution engine:
 //!   [`nfbist_runtime::BatchPlan`], deterministic fan-out of repeats,
-//!   Monte Carlo trials, sweep cells and multipoint slots.
+//!   Monte Carlo trials, sweep cells and multipoint slots over
+//!   [`nfbist_runtime::WorkQueue`], and the supervised
+//!   [`nfbist_runtime::FleetPlan`] and [`nfbist_runtime::Service`] for
+//!   lot screens and monitor fleets.
 //! * [`nfbist_bench`] — experiment scenario builders shared by the
 //!   paper-table binaries.
 //!
