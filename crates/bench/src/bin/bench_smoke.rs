@@ -24,7 +24,7 @@
 //!    transient cost (asserted — the gate, not the lot size, sets the
 //!    peak), and the budgeted parallel report must equal the
 //!    sequential one bit for bit.
-//! 1. **Streaming Welch at 2²⁴ samples** — chunked `StreamingWelch`
+//! 1. **Streaming Welch at 2²⁴ samples** — chunked `WelchAccumulator`
 //!    vs the batch estimator over a materialized record. Proves
 //!    bounded memory: the chunked pass's peak-RSS growth
 //!    must stay a small fraction of the 128 MiB record (asserted), and
@@ -358,13 +358,13 @@ fn run(reps: usize) -> Vec<Case> {
     // --- Case 1: streaming vs batch Welch over a 2^24-sample record.
     //
     // The streaming pass generates the record chunk by chunk straight
-    // into `StreamingWelch` — the 128 MiB record never exists — and
+    // into `WelchAccumulator` — the 128 MiB record never exists — and
     // its peak-RSS delta must stay bounded by the chunk/segment
     // working set, not the record length. The batch pass then
     // materializes the same record; both estimates must agree to the
     // last bit.
     {
-        use nfbist_dsp::psd::StreamingWelch;
+        use nfbist_dsp::psd::WelchAccumulator;
 
         let samples = 1usize << 24;
         let nfft = 4_096;
@@ -374,7 +374,7 @@ fn run(reps: usize) -> Vec<Case> {
 
         // RSS proof: one full bounded-memory pass, record never built.
         let rss_before = peak_rss_bytes();
-        let mut sw = StreamingWelch::new(cfg.clone(), fs).expect("streaming");
+        let mut sw = WelchAccumulator::cumulative(cfg.clone(), fs).expect("streaming");
         let mut gen = WhiteNoise::new(1.0, 42).expect("noise");
         let mut fed = 0usize;
         while fed < samples {

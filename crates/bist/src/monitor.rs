@@ -8,11 +8,12 @@
 //! paper's 1-bit BIST cell is cheap enough to leave **on** for the
 //! whole mission. [`MonitorSession`] models that mission: the familiar
 //! source → DUT → conditioning → digitizer pipeline runs continuously
-//! at a bounded memory footprint, a windowed estimator
-//! ([`nfbist_core::streaming::WindowedRatioAccumulator`]) keeps a
-//! *current-window* noise-figure estimate with a matching delta-method
-//! sigma, and a one-sided CUSUM statistic over the z-scored NF series
-//! turns that time series into a typed, deterministic [`AlarmEvent`]
+//! at a bounded memory footprint, a windowed estimator (a
+//! [`nfbist_core::streaming::RatioAccumulator`] opened with a sliding
+//! or forgetting [`EstimatorWindow`]) keeps a *current-window*
+//! noise-figure estimate with a matching delta-method sigma, and a
+//! one-sided CUSUM statistic over the z-scored NF series turns that
+//! time series into a typed, deterministic [`AlarmEvent`]
 //! timeline.
 //!
 //! Determinism is the load-bearing property: the timeline is a pure
@@ -287,9 +288,9 @@ impl MonitorSession {
         self
     }
 
-    /// Selects the power-ratio estimator; it must support windowed
-    /// accumulation ([`PowerRatioEstimator::windowed`]), which all
-    /// three Table 2 estimators do.
+    /// Selects the power-ratio estimator; the monitor opens its
+    /// accumulator with the configured window
+    /// ([`PowerRatioEstimator::begin`]).
     pub fn estimator(mut self, estimator: impl PowerRatioEstimator + 'static) -> Self {
         self.session = self.session.estimator(estimator);
         self
@@ -310,7 +311,8 @@ impl MonitorSession {
         self
     }
 
-    /// Sets the estimator window policy (builder style).
+    /// Sets the estimator window policy (builder style): sliding or
+    /// forgetting; [`MonitorSession::run`] rejects a cumulative window.
     pub fn window(mut self, window: EstimatorWindow) -> Self {
         self.window = window;
         self
@@ -404,6 +406,12 @@ impl MonitorSession {
 
     fn validate(&self) -> Result<(), SocError> {
         self.window.validate()?;
+        if self.window == EstimatorWindow::Cumulative {
+            return Err(SocError::InvalidParameter {
+                name: "window",
+                reason: "a monitor needs a retiring window: sliding or forgetting",
+            });
+        }
         if self.emission_stride == 0 {
             return Err(SocError::InvalidParameter {
                 name: "emission_stride",
@@ -450,21 +458,13 @@ impl MonitorSession {
     /// # Errors
     ///
     /// Returns [`SocError::InvalidParameter`] for an out-of-domain
-    /// monitor configuration or an estimator without windowed support,
-    /// and propagates pipeline errors. Emissions whose snapshot cannot
-    /// form an estimate yet (window still filling) are counted as
-    /// skipped, not errors.
+    /// monitor configuration (a cumulative window included — it would
+    /// never forget the healthy past), and propagates pipeline errors.
+    /// Emissions whose snapshot cannot form an estimate yet (window
+    /// still filling) are counted as skipped, not errors.
     pub fn run(&self) -> Result<MonitorReport, SocError> {
         self.validate()?;
-        let windowed =
-            self.session
-                .estimator_ref()
-                .windowed()
-                .ok_or(SocError::InvalidParameter {
-                    name: "estimator",
-                    reason: "the selected estimator does not support windowed accumulation",
-                })?;
-        let mut acc = windowed.begin_windowed(self.window)?;
+        let mut acc = self.session.estimator_ref().begin(self.window)?;
         let gain = self.session.frontend_gain()?;
         let mut hot = self
             .session
@@ -726,6 +726,10 @@ mod tests {
                 .window(EstimatorWindow::Forgetting { lambda: 1.5 })
                 .run(),
             Err(SocError::Core(_))
+        ));
+        assert!(matches!(
+            psd_monitor(1).window(EstimatorWindow::Cumulative).run(),
+            Err(SocError::InvalidParameter { name: "window", .. })
         ));
     }
 

@@ -36,7 +36,7 @@ use nfbist_core::estimator::NfMeasurement;
 use nfbist_core::power_ratio::{
     OneBitPowerRatio, OneBitRatioEstimate, PowerRatioEstimator, RatioEstimate,
 };
-use nfbist_core::streaming::RatioAccumulator;
+use nfbist_core::streaming::{EstimatorWindow, RatioAccumulator};
 
 /// The golden-ratio stride a session uses to derive per-repeat seeds
 /// (`setup.seed + repeat·stride`, wrapping). Exported so batch-level
@@ -290,12 +290,10 @@ impl MeasurementSession {
     /// Caps the session's transient acquisition memory at `bytes`.
     ///
     /// When the batch record footprint (`samples × 8` bytes of expanded
-    /// estimator samples per acquisition) would exceed the budget *and*
-    /// the selected estimator supports streaming
-    /// ([`PowerRatioEstimator::streaming`]), the session switches to
-    /// **streaming mode**: the whole source → DUT → conditioning →
-    /// digitizer → estimator pipeline runs chunk by chunk and no buffer
-    /// ever holds the full record. The result is bit-identical to the
+    /// estimator samples per acquisition) would exceed the budget, the
+    /// session switches to **streaming mode**: the whole source → DUT →
+    /// conditioning → digitizer → estimator pipeline runs chunk by chunk
+    /// and no buffer ever holds the full record. The result is bit-identical to the
     /// batch run — only the memory profile changes. Record length then
     /// costs time, not RAM, which is exactly the paper's
     /// accuracy-for-test-time trade: retest escalation can keep growing
@@ -331,16 +329,11 @@ impl MeasurementSession {
     }
 
     /// `true` when [`MeasurementSession::run`] will take the streaming
-    /// path: a memory budget is set, the batch record footprint exceeds
-    /// it, and the estimator supports chunked accumulation.
+    /// path: a memory budget is set and the batch record footprint
+    /// exceeds it.
     pub fn streaming_active(&self) -> bool {
-        match self.memory_budget {
-            Some(budget) => {
-                self.setup.samples.saturating_mul(8) > budget
-                    && self.estimator.streaming().is_some()
-            }
-            None => false,
-        }
+        self.memory_budget
+            .is_some_and(|budget| self.setup.samples.saturating_mul(8) > budget)
     }
 
     /// The chunk length (in samples) the streaming pipeline uses:
@@ -587,9 +580,7 @@ impl MeasurementSession {
     ///
     /// # Errors
     ///
-    /// Returns [`SocError::InvalidParameter`] when the selected
-    /// estimator has no streaming support, and propagates acquisition
-    /// and estimation errors.
+    /// Propagates acquisition and estimation errors.
     pub fn measure_repeat_streaming(
         &self,
         repeat: usize,
@@ -601,8 +592,9 @@ impl MeasurementSession {
     }
 
     /// Opens a **resumable** streaming repeat: both source-state
-    /// acquisition chains plus the estimator's accumulator, positioned
-    /// at sample zero. The caller advances it checkpoint by checkpoint
+    /// acquisition chains plus the estimator's cumulative accumulator
+    /// ([`EstimatorWindow::Cumulative`]), positioned at sample zero.
+    /// The caller advances it checkpoint by checkpoint
     /// ([`SequentialRepeat::advance_to`]), consults interim estimates
     /// ([`SequentialRepeat::snapshot`]) and closes it whenever the
     /// decision is made ([`SequentialRepeat::finish`]) — the machinery
@@ -614,22 +606,13 @@ impl MeasurementSession {
     ///
     /// # Errors
     ///
-    /// Returns [`SocError::InvalidParameter`] when the selected
-    /// estimator has no streaming support, and propagates construction
-    /// errors.
+    /// Propagates construction errors.
     pub fn begin_sequential(
         &self,
         repeat: usize,
         gain: f64,
     ) -> Result<SequentialRepeat<'_>, SocError> {
-        let streaming = self
-            .estimator
-            .streaming()
-            .ok_or(SocError::InvalidParameter {
-                name: "estimator",
-                reason: "the selected estimator does not support streaming",
-            })?;
-        let acc = streaming.begin()?;
+        let acc = self.estimator.begin(EstimatorWindow::Cumulative)?;
         Ok(SequentialRepeat {
             hot: self.begin_state_chain(NoiseSourceState::Hot, repeat, gain)?,
             cold: self.begin_state_chain(NoiseSourceState::Cold, repeat, gain)?,
@@ -720,7 +703,7 @@ impl MeasurementSession {
             .filter_map(|r| r.nf.map(|nf| nf.figure.db()))
             .collect();
         let nf_spread_db = if dbs.len() > 1 {
-            nfbist_dsp::stats::std_dev(&dbs)?
+            nfbist_dsp::stats::sample_variance(&dbs)?.sqrt()
         } else {
             0.0
         };
@@ -1066,7 +1049,6 @@ mod tests {
         // with its sine reference.
         assert!((session.dut_ref().gain() - 101.0).abs() < 1e-9);
         assert!(session.digitizer_ref().uses_reference());
-        assert!(session.estimator_ref().streaming().is_some());
         let one_bit_label = session.estimator_ref().label();
         let setup = session.setup().clone();
         let est = PsdRatioEstimator::new(setup.sample_rate, setup.nfft, setup.noise_band).unwrap();
@@ -1451,39 +1433,26 @@ mod tests {
     }
 
     #[test]
-    fn streaming_with_unsupported_estimator_falls_back_to_batch() {
-        use nfbist_core::power_ratio::RatioEstimate;
-
-        /// A batch-only estimator (no streaming override).
-        struct BatchOnly;
-        impl PowerRatioEstimator for BatchOnly {
-            fn label(&self) -> String {
-                "batch-only".into()
-            }
-            fn estimate(
-                &self,
-                hot: &[f64],
-                cold: &[f64],
-            ) -> Result<RatioEstimate, nfbist_core::CoreError> {
-                nfbist_core::power_ratio::MeanSquareEstimator.estimate(hot, cold)
-            }
-        }
-        let mut setup = BistSetup::quick(31);
-        setup.samples = 1 << 13;
-        setup.nfft = 1_024;
-        // A scale-preserving front-end: the mean-square ratio is
-        // meaningless on ±1 comparator samples.
-        let session = MeasurementSession::new(setup)
+    fn spread_of_two_repeats_is_their_sample_standard_deviation() {
+        // Two repeats a and b: the sample standard deviation is
+        // |a − b|/√2 (the population form would give |a − b|/2).
+        let mut setup = BistSetup::quick(12);
+        setup.samples = 1 << 15;
+        let m = MeasurementSession::new(setup)
             .unwrap()
-            .digitizer(AdcDigitizer::new(12).unwrap())
-            .estimator(BatchOnly)
-            .memory_budget(1);
-        // The budget is exceeded but the estimator cannot stream: the
-        // session stays on the (correct) batch path rather than failing.
-        assert!(!session.streaming_active());
-        session.run().unwrap();
-        // Asking for the streaming repeat explicitly *is* an error.
-        assert!(session.measure_repeat_streaming(0, 1.0).is_err());
+            .dut(dut(OpampModel::tl081()))
+            .repeats(2)
+            .run()
+            .unwrap();
+        let db = |r: &RepeatMeasurement| r.nf.expect("measurable repeat").figure.db();
+        let (a, b) = (db(&m.repeats[0]), db(&m.repeats[1]));
+        assert!(a != b, "independent repeats must scatter");
+        let want = (a - b).abs() / std::f64::consts::SQRT_2;
+        assert!(
+            (m.nf_spread_db - want).abs() <= 1e-12 * want,
+            "spread {} vs {want}",
+            m.nf_spread_db
+        );
     }
 
     #[test]

@@ -2,9 +2,12 @@
 //! time-domain mean-square, PSD band-power ratio, and the 1-bit PSD
 //! ratio with reference normalization and exclusion — unified behind
 //! the object-safe [`PowerRatioEstimator`] trait so measurement
-//! sessions can swap them axis-by-axis.
+//! sessions can swap them axis-by-axis. Each one estimates from whole
+//! records ([`PowerRatioEstimator::estimate`]) or chunk by chunk
+//! ([`PowerRatioEstimator::begin`], see [`crate::streaming`]).
 
 use crate::normalize::{normalize_to_reference, Normalization, ReferenceTracker};
+use crate::streaming::{self, EstimatorWindow, RatioAccumulator, SpectralRatio};
 use crate::CoreError;
 use nfbist_analog::bitstream::Bitstream;
 use nfbist_dsp::psd::{DspWorkspace, WelchConfig};
@@ -53,6 +56,44 @@ fn workspace_handle(ws: &Mutex<DspWorkspace>) -> WorkspaceHandle<'_> {
         Err(TryLockError::Poisoned(poisoned)) => WorkspaceHandle::Cached(poisoned.into_inner()),
         Err(TryLockError::WouldBlock) => WorkspaceHandle::Fresh(DspWorkspace::new()),
     }
+}
+
+/// Checks the analysis configuration the two spectral estimators share:
+/// a positive sample rate, a nonzero FFT size and a band
+/// `0 <= f_lo < f_hi`, reported as the parameter `band_name`.
+fn check_analysis(
+    sample_rate: f64,
+    nfft: usize,
+    band: (f64, f64),
+    band_name: &'static str,
+) -> Result<(), CoreError> {
+    let invalid = |name, reason| Err(CoreError::InvalidParameter { name, reason });
+    if !(sample_rate > 0.0) {
+        return invalid("sample_rate", "must be positive");
+    }
+    if nfft == 0 {
+        return invalid("nfft", "must be nonzero");
+    }
+    if !(band.0 >= 0.0 && band.1 > band.0) {
+        return invalid(band_name, "requires 0 <= f_lo < f_hi");
+    }
+    Ok(())
+}
+
+/// Welch spectra of the hot and cold records through an estimator's
+/// cached workspace.
+fn spectra(
+    welch: &WelchConfig,
+    sample_rate: f64,
+    workspace: &Mutex<DspWorkspace>,
+    hot: &[f64],
+    cold: &[f64],
+) -> Result<(Spectrum, Spectrum), CoreError> {
+    let mut ws = workspace_handle(workspace);
+    Ok((
+        welch.estimate_with(hot, sample_rate, &mut ws)?,
+        welch.estimate_with(cold, sample_rate, &mut ws)?,
+    ))
 }
 
 /// Estimator-specific intermediate results carried by a
@@ -134,29 +175,18 @@ pub trait PowerRatioEstimator: Send + Sync {
     /// formed and propagates analysis errors.
     fn estimate(&self, hot: &[f64], cold: &[f64]) -> Result<RatioEstimate, CoreError>;
 
-    /// The streaming view of this estimator, when it has one.
+    /// Opens a chunked, bounded-memory accumulator for one hot/cold
+    /// record pair under `window`. With
+    /// [`EstimatorWindow::Cumulative`] it finishes into the bits
+    /// [`PowerRatioEstimator::estimate`] computes over the concatenated
+    /// records; the sliding and forgetting windows retire old data for
+    /// continuous monitoring.
     ///
-    /// All three Table 2 estimators support chunked, bounded-memory
-    /// estimation through
-    /// [`crate::streaming::StreamingPowerRatioEstimator`]; a custom
-    /// estimator that does not override this simply reports `None` and
-    /// measurement sessions keep using the batch path for it.
-    fn streaming(&self) -> Option<&dyn crate::streaming::StreamingPowerRatioEstimator> {
-        None
-    }
-
-    /// The windowed (retiring) view of this estimator, when it has
-    /// one — the continuous-monitoring analogue of
-    /// [`PowerRatioEstimator::streaming`].
+    /// # Errors
     ///
-    /// All three Table 2 estimators support sliding and forgetting
-    /// windows through
-    /// [`crate::streaming::WindowedPowerRatioEstimator`]; a custom
-    /// estimator that does not override this reports `None` and the
-    /// monitor layer refuses to run it.
-    fn windowed(&self) -> Option<&dyn crate::streaming::WindowedPowerRatioEstimator> {
-        None
-    }
+    /// Returns configuration errors (invalid window policy, FFT size
+    /// or sample rate).
+    fn begin(&self, window: EstimatorWindow) -> Result<Box<dyn RatioAccumulator>, CoreError>;
 }
 
 impl<E: PowerRatioEstimator + ?Sized> PowerRatioEstimator for Box<E> {
@@ -168,12 +198,8 @@ impl<E: PowerRatioEstimator + ?Sized> PowerRatioEstimator for Box<E> {
         (**self).estimate(hot, cold)
     }
 
-    fn streaming(&self) -> Option<&dyn crate::streaming::StreamingPowerRatioEstimator> {
-        (**self).streaming()
-    }
-
-    fn windowed(&self) -> Option<&dyn crate::streaming::WindowedPowerRatioEstimator> {
-        (**self).windowed()
+    fn begin(&self, window: EstimatorWindow) -> Result<Box<dyn RatioAccumulator>, CoreError> {
+        (**self).begin(window)
     }
 }
 
@@ -187,17 +213,25 @@ impl PowerRatioEstimator for MeanSquareEstimator {
         "time-domain mean-square ratio".to_string()
     }
 
-    fn streaming(&self) -> Option<&dyn crate::streaming::StreamingPowerRatioEstimator> {
-        Some(self)
-    }
-
-    fn windowed(&self) -> Option<&dyn crate::streaming::WindowedPowerRatioEstimator> {
-        Some(self)
-    }
-
     fn estimate(&self, hot: &[f64], cold: &[f64]) -> Result<RatioEstimate, CoreError> {
-        let hot_power = nfbist_dsp::stats::mean_square(hot)?;
-        let cold_power = nfbist_dsp::stats::mean_square(cold)?;
+        Self::ratio_from_powers(
+            nfbist_dsp::stats::mean_square(hot)?,
+            nfbist_dsp::stats::mean_square(cold)?,
+        )
+    }
+
+    fn begin(&self, window: EstimatorWindow) -> Result<Box<dyn RatioAccumulator>, CoreError> {
+        streaming::power_sums(window)
+    }
+}
+
+impl MeanSquareEstimator {
+    /// The estimator tail shared by the batch path and the power-sum
+    /// accumulator: the ratio of the two mean squares.
+    pub(crate) fn ratio_from_powers(
+        hot_power: f64,
+        cold_power: f64,
+    ) -> Result<RatioEstimate, CoreError> {
         if !(cold_power > 0.0) {
             return Err(CoreError::Degenerate {
                 reason: "cold record carries no power",
@@ -253,24 +287,7 @@ impl PsdRatioEstimator {
     /// Returns [`CoreError::InvalidParameter`] for a non-positive
     /// sample rate, a zero FFT size, or an empty/inverted band.
     pub fn new(sample_rate: f64, nfft: usize, band: (f64, f64)) -> Result<Self, CoreError> {
-        if !(sample_rate > 0.0) {
-            return Err(CoreError::InvalidParameter {
-                name: "sample_rate",
-                reason: "must be positive",
-            });
-        }
-        if nfft == 0 {
-            return Err(CoreError::InvalidParameter {
-                name: "nfft",
-                reason: "must be nonzero",
-            });
-        }
-        if !(band.0 >= 0.0 && band.1 > band.0) {
-            return Err(CoreError::InvalidParameter {
-                name: "band",
-                reason: "requires 0 <= f_lo < f_hi",
-            });
-        }
+        check_analysis(sample_rate, nfft, band, "band")?;
         Ok(PsdRatioEstimator {
             sample_rate,
             nfft,
@@ -303,19 +320,24 @@ impl PowerRatioEstimator for PsdRatioEstimator {
         )
     }
 
-    fn streaming(&self) -> Option<&dyn crate::streaming::StreamingPowerRatioEstimator> {
-        Some(self)
-    }
-
-    fn windowed(&self) -> Option<&dyn crate::streaming::WindowedPowerRatioEstimator> {
-        Some(self)
-    }
-
     fn estimate(&self, hot: &[f64], cold: &[f64]) -> Result<RatioEstimate, CoreError> {
         let welch = WelchConfig::new(self.nfft)?;
-        let mut ws = workspace_handle(&self.workspace);
-        let psd_hot = welch.estimate_with(hot, self.sample_rate, &mut ws)?;
-        let psd_cold = welch.estimate_with(cold, self.sample_rate, &mut ws)?;
+        let (psd_hot, psd_cold) = spectra(&welch, self.sample_rate, &self.workspace, hot, cold)?;
+        self.ratio_from_spectra(psd_hot, psd_cold)
+    }
+
+    fn begin(&self, window: EstimatorWindow) -> Result<Box<dyn RatioAccumulator>, CoreError> {
+        let welch = WelchConfig::new(self.nfft)?;
+        streaming::welch_ratio(self.clone(), welch, self.sample_rate, window)
+    }
+}
+
+impl SpectralRatio for PsdRatioEstimator {
+    fn ratio_from_spectra(
+        &self,
+        psd_hot: Spectrum,
+        psd_cold: Spectrum,
+    ) -> Result<RatioEstimate, CoreError> {
         let hot_power = psd_hot.band_power(self.band.0, self.band.1)?;
         let cold_power = psd_cold.band_power(self.band.0, self.band.1)?;
         if !(cold_power > 0.0) {
@@ -340,22 +362,23 @@ impl PowerRatioEstimator for OneBitPowerRatio {
         "1-bit reference-normalized PSD ratio".to_string()
     }
 
-    fn streaming(&self) -> Option<&dyn crate::streaming::StreamingPowerRatioEstimator> {
-        Some(self)
-    }
-
-    fn windowed(&self) -> Option<&dyn crate::streaming::WindowedPowerRatioEstimator> {
-        Some(self)
-    }
-
     fn estimate(&self, hot: &[f64], cold: &[f64]) -> Result<RatioEstimate, CoreError> {
-        let est = self.estimate_samples(hot, cold)?;
-        Ok(RatioEstimate {
-            ratio: est.ratio,
-            hot_power: est.hot_noise_power,
-            cold_power: est.cold_noise_power,
-            detail: RatioDetail::OneBit(Box::new(est)),
-        })
+        Ok(self.estimate_samples(hot, cold)?.into())
+    }
+
+    fn begin(&self, window: EstimatorWindow) -> Result<Box<dyn RatioAccumulator>, CoreError> {
+        let welch = WelchConfig::new(self.nfft)?.window(self.window);
+        streaming::welch_ratio(self.clone(), welch, self.sample_rate, window)
+    }
+}
+
+impl SpectralRatio for OneBitPowerRatio {
+    fn ratio_from_spectra(
+        &self,
+        psd_hot: Spectrum,
+        psd_cold: Spectrum,
+    ) -> Result<RatioEstimate, CoreError> {
+        Ok(self.finish(psd_hot, psd_cold)?.into())
     }
 }
 
@@ -379,14 +402,7 @@ impl PowerRatioEstimator for OneBitPowerRatio {
 /// # }
 /// ```
 pub fn mean_square_ratio(hot: &[f64], cold: &[f64]) -> Result<f64, CoreError> {
-    let ph = nfbist_dsp::stats::mean_square(hot)?;
-    let pc = nfbist_dsp::stats::mean_square(cold)?;
-    if !(pc > 0.0) {
-        return Err(CoreError::Degenerate {
-            reason: "cold record carries no power",
-        });
-    }
-    Ok(ph / pc)
+    Ok(MeanSquareEstimator.estimate(hot, cold)?.ratio)
 }
 
 /// Spectral estimator: the ratio of PSD band powers (Table 2 row 2).
@@ -395,8 +411,9 @@ pub fn mean_square_ratio(hot: &[f64], cold: &[f64]) -> Result<f64, CoreError> {
 ///
 /// # Errors
 ///
-/// Propagates PSD and band errors; returns [`CoreError::Degenerate`]
-/// for a powerless cold band.
+/// Returns [`PsdRatioEstimator::new`]'s configuration errors, propagates
+/// PSD and band errors, and returns [`CoreError::Degenerate`] for a
+/// powerless cold band.
 pub fn psd_ratio(
     hot: &[f64],
     cold: &[f64],
@@ -404,17 +421,9 @@ pub fn psd_ratio(
     nfft: usize,
     band: (f64, f64),
 ) -> Result<f64, CoreError> {
-    let welch = WelchConfig::new(nfft)?;
-    let psd_hot = welch.estimate(hot, sample_rate)?;
-    let psd_cold = welch.estimate(cold, sample_rate)?;
-    let ph = psd_hot.band_power(band.0, band.1)?;
-    let pc = psd_cold.band_power(band.0, band.1)?;
-    if !(pc > 0.0) {
-        return Err(CoreError::Degenerate {
-            reason: "cold band carries no power",
-        });
-    }
-    Ok(ph / pc)
+    Ok(PsdRatioEstimator::new(sample_rate, nfft, band)?
+        .estimate(hot, cold)?
+        .ratio)
 }
 
 /// Result of a 1-bit power-ratio estimate, exposing the intermediate
@@ -434,6 +443,19 @@ pub struct OneBitRatioEstimate {
     pub hot_spectrum: Spectrum,
     /// Welch PSD of the cold bitstream, **after** normalization.
     pub cold_spectrum_normalized: Spectrum,
+}
+
+impl From<OneBitRatioEstimate> for RatioEstimate {
+    /// The uniform report of a 1-bit estimate, carrying it whole as
+    /// [`RatioDetail::OneBit`].
+    fn from(est: OneBitRatioEstimate) -> Self {
+        RatioEstimate {
+            ratio: est.ratio,
+            hot_power: est.hot_noise_power,
+            cold_power: est.cold_noise_power,
+            detail: RatioDetail::OneBit(Box::new(est)),
+        }
+    }
 }
 
 /// The paper's estimator: noise power ratio from two 1-bit records with
@@ -500,24 +522,7 @@ impl OneBitPowerRatio {
         reference_frequency: f64,
         noise_band: (f64, f64),
     ) -> Result<Self, CoreError> {
-        if !(sample_rate > 0.0) {
-            return Err(CoreError::InvalidParameter {
-                name: "sample_rate",
-                reason: "must be positive",
-            });
-        }
-        if nfft == 0 {
-            return Err(CoreError::InvalidParameter {
-                name: "nfft",
-                reason: "must be nonzero",
-            });
-        }
-        if !(noise_band.0 >= 0.0 && noise_band.1 > noise_band.0) {
-            return Err(CoreError::InvalidParameter {
-                name: "noise_band",
-                reason: "requires 0 <= f_lo < f_hi",
-            });
-        }
+        check_analysis(sample_rate, nfft, noise_band, "noise_band")?;
         let tracker = ReferenceTracker::new(reference_frequency, 0.02 * reference_frequency, 3)?;
         Ok(OneBitPowerRatio {
             sample_rate,
@@ -634,18 +639,12 @@ impl OneBitPowerRatio {
         cold: &[f64],
     ) -> Result<OneBitRatioEstimate, CoreError> {
         let welch = WelchConfig::new(self.nfft)?.window(self.window);
-        let (psd_hot, psd_cold) = {
-            let mut ws = workspace_handle(&self.workspace);
-            (
-                welch.estimate_with(hot, self.sample_rate, &mut ws)?,
-                welch.estimate_with(cold, self.sample_rate, &mut ws)?,
-            )
-        };
+        let (psd_hot, psd_cold) = spectra(&welch, self.sample_rate, &self.workspace, hot, cold)?;
         self.finish(psd_hot, psd_cold)
     }
 
     /// The estimator tail shared by the bit and sample entry points
-    /// (and by the streaming accumulator in [`crate::streaming`]):
+    /// (and by the chunked accumulator in [`crate::streaming`]):
     /// reference normalization, exclusion bookkeeping and the band
     /// ratio.
     pub(crate) fn finish(

@@ -1,41 +1,32 @@
-//! Streaming (bounded-memory) power-ratio estimation.
+//! Chunked (bounded-memory) power-ratio estimation.
 //!
 //! The batch [`PowerRatioEstimator`] consumes whole hot/cold records,
-//! which ties the achievable acquisition length to RAM. The paper's
-//! accuracy, however, improves with *longer* records (the Welch
-//! variance shrinks as `1/segments`), so record length should be a pure
-//! test-*time* cost — as it is in the real hardware, where the
-//! correlator integrates on the fly.
-//!
-//! This module restores that property to the estimation layer:
-//! [`StreamingPowerRatioEstimator::begin`] opens a [`RatioAccumulator`]
+//! tying acquisition length to RAM, yet the paper's accuracy improves
+//! with *longer* records, so record length should be a pure test-*time*
+//! cost — as in the hardware, where the correlator integrates on the
+//! fly. [`PowerRatioEstimator::begin`] opens a [`RatioAccumulator`]
 //! that consumes the two records chunk by chunk in `O(segment)` memory
-//! and finishes into the **identical** [`RatioEstimate`] — bitwise, per
-//! `f64::to_bits` — that the batch estimator computes over the
-//! concatenated records. All three Table 2 estimators implement it:
+//! under an [`EstimatorWindow`]:
 //!
-//! * [`MeanSquareEstimator`] — running power sums (the float
-//!   accumulation order is exactly the batch fold);
-//! * [`PsdRatioEstimator`] — one [`StreamingWelch`] per record;
-//! * [`OneBitPowerRatio`] — two [`StreamingWelch`] accumulators feeding
-//!   the same reference-normalization tail as the batch path.
+//! * [`EstimatorWindow::Cumulative`] keeps everything and finishes into
+//!   the **identical** [`RatioEstimate`] (per `f64::to_bits`) the batch
+//!   estimator computes over the concatenated records. Streaming
+//!   sessions and sequential screens run on it.
+//! * [`EstimatorWindow::Sliding`] and [`EstimatorWindow::Forgetting`]
+//!   retire old data for in-field monitoring, where a drift after 10⁷
+//!   healthy samples would be diluted away by a cumulative estimate.
 //!
-//! Measurement sessions discover streaming support through
-//! [`PowerRatioEstimator::streaming`], so `Box<dyn PowerRatioEstimator>`
-//! stays the only estimator currency.
-//!
-//! For continuous in-field monitoring the cumulative accumulators are
-//! not enough: a drift that starts after 10⁷ healthy samples is diluted
-//! away by everything already integrated. [`WindowedRatioAccumulator`]
-//! (obtained through [`PowerRatioEstimator::windowed`] with an
-//! [`EstimatorWindow`]) is the retiring variant — a sliding window of
-//! the most recent segments or an exponentially forgetting average —
-//! and [`windowed_nf_point`] turns any snapshot into an NF estimate
-//! with a finite-window sigma from [`crate::uncertainty`], the
+//! Two accumulators serve all three Table 2 estimators: running power
+//! sums for [`MeanSquareEstimator`] (cumulatively, exactly the batch
+//! fold), and one [`WelchAccumulator`] per record for
+//! [`PsdRatioEstimator`] and [`OneBitPowerRatio`], feeding the spectral
+//! tail their batch `estimate` ends in. [`windowed_nf_point`] turns any
+//! snapshot into an NF estimate with a finite-window sigma, the
 //! emission primitive of the monitor layer.
 //!
 //! ```
 //! use nfbist_core::power_ratio::{PowerRatioEstimator, PsdRatioEstimator};
+//! use nfbist_core::streaming::EstimatorWindow;
 //!
 //! # fn main() -> Result<(), nfbist_core::CoreError> {
 //! let est = PsdRatioEstimator::new(20_000.0, 1_024, (100.0, 9_000.0))?;
@@ -43,7 +34,7 @@
 //! let cold: Vec<f64> = hot.iter().map(|v| v * 0.5).collect();
 //!
 //! let batch = est.estimate(&hot, &cold)?;
-//! let mut acc = est.streaming().expect("PSD estimator streams").begin()?;
+//! let mut acc = est.begin(EstimatorWindow::Cumulative)?;
 //! for (h, c) in hot.chunks(700).zip(cold.chunks(700)) {
 //!     acc.push_hot(h)?;
 //!     acc.push_cold(c)?;
@@ -53,22 +44,31 @@
 //! # Ok(())
 //! # }
 //! ```
+//!
+//! [`PowerRatioEstimator`]: crate::power_ratio::PowerRatioEstimator
+//! [`PowerRatioEstimator::begin`]: crate::power_ratio::PowerRatioEstimator::begin
+//! [`MeanSquareEstimator`]: crate::power_ratio::MeanSquareEstimator
+//! [`PsdRatioEstimator`]: crate::power_ratio::PsdRatioEstimator
+//! [`OneBitPowerRatio`]: crate::power_ratio::OneBitPowerRatio
 
 use crate::figure::NoiseFactor;
-use crate::power_ratio::{
-    MeanSquareEstimator, OneBitPowerRatio, PowerRatioEstimator, PsdRatioEstimator, RatioDetail,
-    RatioEstimate,
-};
+use crate::power_ratio::{MeanSquareEstimator, RatioEstimate};
 use crate::{uncertainty, yfactor, CoreError};
-use nfbist_dsp::psd::{ForgettingWelch, SlidingWelch, StreamingWelch, WelchConfig};
+use nfbist_dsp::psd::{
+    ForgettingWelch, RetentionStore, SlidingWelch, WelchAccumulator, WelchConfig,
+};
 use nfbist_dsp::spectrum::Spectrum;
+use nfbist_dsp::DspError;
 
-/// An in-flight streaming ratio estimate: hot/cold chunks in, one
-/// [`RatioEstimate`] out.
+/// An in-flight ratio estimate: hot/cold chunks in, a
+/// [`RatioEstimate`] over the current [`EstimatorWindow`] out at any
+/// point.
 ///
 /// Hot and cold pushes may be interleaved arbitrarily — the two
 /// records accumulate independently; only the per-record chunk order
-/// matters (and it is the record order).
+/// matters (and it is the record order). Every snapshot is a pure
+/// function of the absolute sample streams: chunk boundaries never
+/// change a bit.
 pub trait RatioAccumulator: Send {
     /// Consumes one chunk of the hot record.
     ///
@@ -84,22 +84,33 @@ pub trait RatioAccumulator: Send {
     /// Propagates analysis errors.
     fn push_cold(&mut self, chunk: &[f64]) -> Result<(), CoreError>;
 
-    /// Forms the ratio from everything pushed **so far**, without
-    /// closing the accumulator — the interim estimate a sequential
-    /// (early-stopping) screen consults at each checkpoint. Bitwise
-    /// identical to what [`RatioAccumulator::finish`] would return at
-    /// this point; pushing more chunks afterwards keeps refining the
-    /// same accumulator.
+    /// Forms the ratio over the current window without disturbing the
+    /// accumulation — the interim estimate a sequential screen consults
+    /// at each checkpoint and a monitor emits. Cumulatively it is bitwise
+    /// the batch estimate over everything pushed so far; over a sliding
+    /// window the Welch-based estimators return bitwise the batch
+    /// estimate over exactly the retained samples (the mean-square path
+    /// regroups its fold blockwise, so it agrees to rounding only).
     ///
     /// # Errors
     ///
-    /// Exactly the batch estimator's failure modes at the current
-    /// record length: empty/short records and
-    /// [`CoreError::Degenerate`] ratios.
+    /// The batch estimator's failure modes at the current window
+    /// content: empty/short records and [`CoreError::Degenerate`]
+    /// ratios.
     fn snapshot(&self) -> Result<RatioEstimate, CoreError>;
 
-    /// Closes both records and forms the ratio — bitwise identical to
-    /// the batch estimator over the concatenated records.
+    /// Raw samples the current estimate rests on, the minimum over the
+    /// hot and cold records: the span the averaged Welch segments cover,
+    /// every pushed sample (cumulative mean square) or every completed
+    /// block (sliding), and for a forgetting window the effective depth
+    /// `(Σλᵏ)²/Σλ²ᵏ` in units. [`windowed_nf_point`] feeds it, scaled by
+    /// the band-limiting fraction `2B/fs`, to
+    /// [`uncertainty::nf_std_from_record_length`].
+    fn effective_samples(&self) -> f64;
+
+    /// Closes both records and forms the ratio — for a cumulative
+    /// window, bitwise identical to the batch estimator over the
+    /// concatenated records.
     ///
     /// # Errors
     ///
@@ -110,171 +121,6 @@ pub trait RatioAccumulator: Send {
     }
 }
 
-/// A [`PowerRatioEstimator`] that can also run chunked with bounded
-/// memory. Obtained through [`PowerRatioEstimator::streaming`].
-pub trait StreamingPowerRatioEstimator: PowerRatioEstimator {
-    /// Opens a fresh accumulator for one hot/cold record pair.
-    ///
-    /// # Errors
-    ///
-    /// Returns configuration errors (invalid FFT size or sample rate).
-    fn begin(&self) -> Result<Box<dyn RatioAccumulator>, CoreError>;
-}
-
-/// Running power sums for the time-domain mean-square ratio.
-///
-/// The sums accumulate sample by sample in record order — the same
-/// fold, in the same order, as `stats::mean_square` over the whole
-/// record, so the result carries identical bits.
-struct MeanSquareAccumulator {
-    hot_sum: f64,
-    hot_n: usize,
-    cold_sum: f64,
-    cold_n: usize,
-}
-
-impl RatioAccumulator for MeanSquareAccumulator {
-    fn push_hot(&mut self, chunk: &[f64]) -> Result<(), CoreError> {
-        for &v in chunk {
-            self.hot_sum += v * v;
-        }
-        self.hot_n += chunk.len();
-        Ok(())
-    }
-
-    fn push_cold(&mut self, chunk: &[f64]) -> Result<(), CoreError> {
-        for &v in chunk {
-            self.cold_sum += v * v;
-        }
-        self.cold_n += chunk.len();
-        Ok(())
-    }
-
-    fn snapshot(&self) -> Result<RatioEstimate, CoreError> {
-        if self.hot_n == 0 || self.cold_n == 0 {
-            return Err(CoreError::Dsp(nfbist_dsp::DspError::EmptyInput {
-                context: "mean_square",
-            }));
-        }
-        let hot_power = self.hot_sum / self.hot_n as f64;
-        let cold_power = self.cold_sum / self.cold_n as f64;
-        if !(cold_power > 0.0) {
-            return Err(CoreError::Degenerate {
-                reason: "cold record carries no power",
-            });
-        }
-        Ok(RatioEstimate {
-            ratio: hot_power / cold_power,
-            hot_power,
-            cold_power,
-            detail: RatioDetail::MeanSquare,
-        })
-    }
-}
-
-impl StreamingPowerRatioEstimator for MeanSquareEstimator {
-    fn begin(&self) -> Result<Box<dyn RatioAccumulator>, CoreError> {
-        Ok(Box::new(MeanSquareAccumulator {
-            hot_sum: 0.0,
-            hot_n: 0,
-            cold_sum: 0.0,
-            cold_n: 0,
-        }))
-    }
-}
-
-/// One [`StreamingWelch`] per record for the PSD band-power ratio.
-struct PsdRatioAccumulator {
-    hot: StreamingWelch,
-    cold: StreamingWelch,
-    nfft: usize,
-    band: (f64, f64),
-}
-
-impl RatioAccumulator for PsdRatioAccumulator {
-    fn push_hot(&mut self, chunk: &[f64]) -> Result<(), CoreError> {
-        Ok(self.hot.push(chunk)?)
-    }
-
-    fn push_cold(&mut self, chunk: &[f64]) -> Result<(), CoreError> {
-        Ok(self.cold.push(chunk)?)
-    }
-
-    fn snapshot(&self) -> Result<RatioEstimate, CoreError> {
-        let psd_hot = self.hot.finalize()?;
-        let psd_cold = self.cold.finalize()?;
-        let hot_power = psd_hot.band_power(self.band.0, self.band.1)?;
-        let cold_power = psd_cold.band_power(self.band.0, self.band.1)?;
-        if !(cold_power > 0.0) {
-            return Err(CoreError::Degenerate {
-                reason: "cold band carries no power",
-            });
-        }
-        Ok(RatioEstimate {
-            ratio: hot_power / cold_power,
-            hot_power,
-            cold_power,
-            detail: RatioDetail::Psd {
-                nfft: self.nfft,
-                band: self.band,
-            },
-        })
-    }
-}
-
-impl StreamingPowerRatioEstimator for PsdRatioEstimator {
-    fn begin(&self) -> Result<Box<dyn RatioAccumulator>, CoreError> {
-        let cfg = WelchConfig::new(self.nfft())?;
-        Ok(Box::new(PsdRatioAccumulator {
-            hot: StreamingWelch::new(cfg.clone(), self.sample_rate())?,
-            cold: StreamingWelch::new(cfg, self.sample_rate())?,
-            nfft: self.nfft(),
-            band: self.band(),
-        }))
-    }
-}
-
-/// Two [`StreamingWelch`] accumulators feeding the 1-bit estimator's
-/// reference-normalization tail.
-struct OneBitAccumulator {
-    estimator: OneBitPowerRatio,
-    hot: StreamingWelch,
-    cold: StreamingWelch,
-}
-
-impl RatioAccumulator for OneBitAccumulator {
-    fn push_hot(&mut self, chunk: &[f64]) -> Result<(), CoreError> {
-        Ok(self.hot.push(chunk)?)
-    }
-
-    fn push_cold(&mut self, chunk: &[f64]) -> Result<(), CoreError> {
-        Ok(self.cold.push(chunk)?)
-    }
-
-    fn snapshot(&self) -> Result<RatioEstimate, CoreError> {
-        let psd_hot = self.hot.finalize()?;
-        let psd_cold = self.cold.finalize()?;
-        let est = self.estimator.finish(psd_hot, psd_cold)?;
-        Ok(RatioEstimate {
-            ratio: est.ratio,
-            hot_power: est.hot_noise_power,
-            cold_power: est.cold_noise_power,
-            detail: RatioDetail::OneBit(Box::new(est)),
-        })
-    }
-}
-
-impl StreamingPowerRatioEstimator for OneBitPowerRatio {
-    fn begin(&self) -> Result<Box<dyn RatioAccumulator>, CoreError> {
-        let cfg = WelchConfig::new(self.nfft())?.window(self.window());
-        Ok(Box::new(OneBitAccumulator {
-            estimator: self.clone(),
-            hot: StreamingWelch::new(cfg.clone(), self.sample_rate())?,
-            cold: StreamingWelch::new(cfg, self.sample_rate())?,
-        }))
-    }
-}
-
 /// Sample-block length the windowed mean-square accumulator retires
 /// power sums in. The time-domain estimator has no natural segment
 /// size, so its window is quantized in blocks of this many samples —
@@ -282,14 +128,17 @@ impl StreamingPowerRatioEstimator for OneBitPowerRatio {
 /// the three estimators' emission granularity comparable.
 pub const MEAN_SQUARE_BLOCK_SAMPLES: usize = 1_024;
 
-/// Window policy for a [`WindowedRatioAccumulator`]: how old data is
-/// retired as new chunks arrive.
+/// Window policy for a [`RatioAccumulator`]: how old data is retired as
+/// new chunks arrive.
 ///
 /// The unit is the estimator's own averaging quantum: Welch segments
 /// for the PSD and 1-bit estimators, sample blocks of
 /// [`MEAN_SQUARE_BLOCK_SAMPLES`] for the mean-square estimator.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EstimatorWindow {
+    /// Keep everything pushed, at equal weight — the snapshot carries
+    /// the same bits as a batch estimate over the whole stream.
+    Cumulative,
     /// Keep exactly the most recent `segments` averaging units and
     /// drop older ones bin-exactly — the snapshot carries the same
     /// bits as a batch estimate over the retained samples alone.
@@ -307,7 +156,8 @@ pub enum EstimatorWindow {
 }
 
 impl EstimatorWindow {
-    /// Checks the policy parameters.
+    /// Checks the policy parameters; [`EstimatorWindow::Cumulative`]
+    /// has none and always passes.
     ///
     /// # Errors
     ///
@@ -315,6 +165,7 @@ impl EstimatorWindow {
     /// window or a forgetting factor outside the open unit interval.
     pub fn validate(&self) -> Result<(), CoreError> {
         match *self {
+            EstimatorWindow::Cumulative => {}
             EstimatorWindow::Sliding { segments } => {
                 if segments == 0 {
                     return Err(CoreError::InvalidParameter {
@@ -336,69 +187,6 @@ impl EstimatorWindow {
     }
 }
 
-/// A windowed in-flight ratio estimate: hot/cold chunks in, a
-/// *current-window* [`RatioEstimate`] out at any point.
-///
-/// Unlike [`RatioAccumulator`], whose snapshot always reflects the
-/// whole stream, this snapshot reflects only what the
-/// [`EstimatorWindow`] retains — the estimate tracks the DUT's present
-/// state and forgets its history, which is what drift detection needs.
-pub trait WindowedRatioAccumulator: Send {
-    /// Consumes one chunk of the hot record.
-    ///
-    /// # Errors
-    ///
-    /// Propagates analysis errors.
-    fn push_hot(&mut self, chunk: &[f64]) -> Result<(), CoreError>;
-
-    /// Consumes one chunk of the cold record.
-    ///
-    /// # Errors
-    ///
-    /// Propagates analysis errors.
-    fn push_cold(&mut self, chunk: &[f64]) -> Result<(), CoreError>;
-
-    /// Forms the ratio over the currently retained window, without
-    /// disturbing the accumulation. For a sliding window the
-    /// Welch-based estimators return bitwise the batch estimate over
-    /// exactly the retained samples (the mean-square path regroups its
-    /// per-sample fold blockwise, so it agrees to rounding only).
-    /// Every estimator's snapshot is a pure function of the absolute
-    /// sample streams — chunk boundaries never change a bit.
-    ///
-    /// # Errors
-    ///
-    /// The batch estimator's failure modes at the current window
-    /// content: empty/short windows and [`CoreError::Degenerate`]
-    /// ratios.
-    fn snapshot(&self) -> Result<RatioEstimate, CoreError>;
-
-    /// Raw samples currently inside the window, as the minimum over
-    /// the hot and cold records (fractional for a forgetting window,
-    /// where it is the effective depth `(Σλᵏ)²/Σλ²ᵏ` units deep).
-    ///
-    /// This is the record length to feed — after scaling by the
-    /// band-limiting fraction `2B/fs` — into
-    /// [`uncertainty::nf_std_from_record_length`];
-    /// [`windowed_nf_point`] does exactly that.
-    fn effective_samples(&self) -> f64;
-}
-
-/// A [`PowerRatioEstimator`] that can run with a retiring window.
-/// Obtained through [`PowerRatioEstimator::windowed`].
-pub trait WindowedPowerRatioEstimator: PowerRatioEstimator {
-    /// Opens a fresh windowed accumulator for one hot/cold stream pair.
-    ///
-    /// # Errors
-    ///
-    /// Returns configuration errors (invalid window policy, FFT size
-    /// or sample rate).
-    fn begin_windowed(
-        &self,
-        window: EstimatorWindow,
-    ) -> Result<Box<dyn WindowedRatioAccumulator>, CoreError>;
-}
-
 /// One emission point of a windowed NF time series: the windowed
 /// Y-factor estimate folded through eq. 8 with a finite-window sigma.
 #[derive(Debug, Clone)]
@@ -418,10 +206,9 @@ pub struct WindowedNfPoint {
     pub n_effective: usize,
 }
 
-/// Forms a [`WindowedNfPoint`] from a windowed accumulator's current
-/// snapshot: Y → noise factor via the declared source temperatures,
-/// sigma via the delta-method variance at the window's effective
-/// depth.
+/// Forms a [`WindowedNfPoint`] from an accumulator's current snapshot:
+/// Y → noise factor via the declared source temperatures, sigma via the
+/// delta-method variance at the window's effective depth.
 ///
 /// `effective_fraction` is the band-limiting correction `2B/fs` in
 /// `(0, 1]` — the fraction of raw samples that count as independent
@@ -437,7 +224,7 @@ pub struct WindowedNfPoint {
 /// Y-factor domain errors (ratio outside `(1, Th/Tc)`), and rejects an
 /// `effective_fraction` outside `(0, 1]`.
 pub fn windowed_nf_point(
-    acc: &dyn WindowedRatioAccumulator,
+    acc: &dyn RatioAccumulator,
     hot_kelvin: f64,
     cold_kelvin: f64,
     effective_fraction: f64,
@@ -462,186 +249,115 @@ pub fn windowed_nf_point(
     })
 }
 
-/// Internal dispatch over the two retiring Welch accumulators, so the
-/// PSD and 1-bit windowed paths share one push/finalize surface.
-enum WindowedWelch {
-    Sliding(SlidingWelch),
-    Forgetting(ForgettingWelch),
+/// The tail of a Welch-based ratio estimator: hot and cold spectra in,
+/// the ratio out. The PSD and 1-bit estimators' batch `estimate` and
+/// their accumulators' snapshots both end in this one call.
+pub(crate) trait SpectralRatio: Send + 'static {
+    /// Forms the estimate from the two records' spectra.
+    fn ratio_from_spectra(&self, hot: Spectrum, cold: Spectrum)
+        -> Result<RatioEstimate, CoreError>;
 }
 
-impl WindowedWelch {
-    fn new(cfg: WelchConfig, sample_rate: f64, window: EstimatorWindow) -> Result<Self, CoreError> {
-        window.validate()?;
-        Ok(match window {
-            EstimatorWindow::Sliding { segments } => {
-                WindowedWelch::Sliding(SlidingWelch::new(cfg, sample_rate, segments)?)
+/// Opens a Welch-ratio accumulator: one [`WelchAccumulator`] per record,
+/// with the retention store `window` selects, feeding `tail`.
+pub(crate) fn welch_ratio<T: SpectralRatio>(
+    tail: T,
+    config: WelchConfig,
+    sample_rate: f64,
+    window: EstimatorWindow,
+) -> Result<Box<dyn RatioAccumulator>, CoreError> {
+    window.validate()?;
+    match window {
+        EstimatorWindow::Cumulative => WelchRatio::open(
+            || WelchAccumulator::cumulative(config.clone(), sample_rate),
+            tail,
+            window,
+        ),
+        EstimatorWindow::Sliding { segments } => WelchRatio::open(
+            || SlidingWelch::new(config.clone(), sample_rate, segments),
+            tail,
+            window,
+        ),
+        EstimatorWindow::Forgetting { lambda } => WelchRatio::open(
+            || ForgettingWelch::new(config.clone(), sample_rate, lambda),
+            tail,
+            window,
+        ),
+    }
+}
+
+/// The Welch-ratio accumulator shared by the PSD and 1-bit estimators.
+struct WelchRatio<S, T> {
+    hot: WelchAccumulator<S>,
+    cold: WelchAccumulator<S>,
+    tail: T,
+    window: EstimatorWindow,
+}
+
+impl<S: RetentionStore + Send + 'static, T: SpectralRatio> WelchRatio<S, T> {
+    fn open(
+        make: impl Fn() -> Result<WelchAccumulator<S>, DspError>,
+        tail: T,
+        window: EstimatorWindow,
+    ) -> Result<Box<dyn RatioAccumulator>, CoreError> {
+        Ok(Box::new(WelchRatio {
+            hot: make()?,
+            cold: make()?,
+            tail,
+            window,
+        }))
+    }
+
+    /// Raw samples inside one record's window: the retained span, or
+    /// effective segments × segment length for a forgetting average.
+    fn window_samples(&self, welch: &WelchAccumulator<S>) -> f64 {
+        match self.window {
+            EstimatorWindow::Forgetting { .. } => {
+                welch.effective_segments() * welch.config().segment_len() as f64
             }
-            EstimatorWindow::Forgetting { lambda } => {
-                WindowedWelch::Forgetting(ForgettingWelch::new(cfg, sample_rate, lambda)?)
-            }
-        })
-    }
-
-    fn push(&mut self, chunk: &[f64]) -> Result<(), CoreError> {
-        match self {
-            WindowedWelch::Sliding(w) => Ok(w.push(chunk)?),
-            WindowedWelch::Forgetting(w) => Ok(w.push(chunk)?),
-        }
-    }
-
-    fn finalize(&self) -> Result<Spectrum, CoreError> {
-        match self {
-            WindowedWelch::Sliding(w) => Ok(w.finalize()?),
-            WindowedWelch::Forgetting(w) => Ok(w.finalize()?),
-        }
-    }
-
-    /// Raw samples inside the window: the retained span for the
-    /// sliding ring, effective segments × segment length for the
-    /// forgetting average.
-    fn window_samples(&self) -> f64 {
-        match self {
-            WindowedWelch::Sliding(w) => w
+            _ => welch
                 .retained_range()
-                .map(|(start, end)| (end - start) as f64)
-                .unwrap_or(0.0),
-            WindowedWelch::Forgetting(w) => {
-                w.effective_segments() * w.config().segment_len() as f64
-            }
+                .map_or(0.0, |(start, end)| (end - start) as f64),
         }
     }
 }
 
-/// Block-retiring power sums for the windowed mean-square path. The
-/// partial (incomplete) block accumulates sample by sample in stream
-/// order — chunk boundaries never change any float op — but only
-/// completed blocks enter the snapshot, so emissions are quantized at
-/// block rate exactly like the Welch-based estimators are at segment
-/// rate.
-struct WindowedPowerSum {
-    kind: PowerSumKind,
-    partial_sum: f64,
-    partial_n: usize,
-}
-
-enum PowerSumKind {
-    Sliding {
-        ring: Vec<f64>,
-        head: usize,
-        filled: usize,
-    },
-    Forgetting {
-        lambda: f64,
-        weighted: f64,
-        weight: f64,
-        weight_sq: f64,
-    },
-}
-
-impl WindowedPowerSum {
-    fn new(window: EstimatorWindow) -> Result<Self, CoreError> {
-        window.validate()?;
-        let kind = match window {
-            EstimatorWindow::Sliding { segments } => PowerSumKind::Sliding {
-                ring: vec![0.0; segments],
-                head: 0,
-                filled: 0,
-            },
-            EstimatorWindow::Forgetting { lambda } => PowerSumKind::Forgetting {
-                lambda,
-                weighted: 0.0,
-                weight: 0.0,
-                weight_sq: 0.0,
-            },
-        };
-        Ok(WindowedPowerSum {
-            kind,
-            partial_sum: 0.0,
-            partial_n: 0,
-        })
+impl<S: RetentionStore + Send + 'static, T: SpectralRatio> RatioAccumulator for WelchRatio<S, T> {
+    fn push_hot(&mut self, chunk: &[f64]) -> Result<(), CoreError> {
+        Ok(self.hot.push(chunk)?)
     }
 
-    fn push(&mut self, chunk: &[f64]) {
-        for &v in chunk {
-            self.partial_sum += v * v;
-            self.partial_n += 1;
-            if self.partial_n == MEAN_SQUARE_BLOCK_SAMPLES {
-                let sum = self.partial_sum;
-                self.partial_sum = 0.0;
-                self.partial_n = 0;
-                match &mut self.kind {
-                    PowerSumKind::Sliding { ring, head, filled } => {
-                        ring[*head] = sum;
-                        *head = (*head + 1) % ring.len();
-                        *filled = (*filled + 1).min(ring.len());
-                    }
-                    PowerSumKind::Forgetting {
-                        lambda,
-                        weighted,
-                        weight,
-                        weight_sq,
-                    } => {
-                        *weighted = *lambda * *weighted + sum;
-                        *weight = *lambda * *weight + 1.0;
-                        *weight_sq = *lambda * *lambda * *weight_sq + 1.0;
-                    }
-                }
-            }
-        }
+    fn push_cold(&mut self, chunk: &[f64]) -> Result<(), CoreError> {
+        Ok(self.cold.push(chunk)?)
     }
 
-    /// Mean-square power over the completed blocks in the window, or
-    /// `None` before the first block completes. The fold over block
-    /// sums runs oldest → newest from 0.0 — deterministic for any
-    /// chunking, though regrouped relative to the per-sample batch
-    /// fold.
-    fn power(&self) -> Option<f64> {
-        match &self.kind {
-            PowerSumKind::Sliding { ring, head, filled } => {
-                if *filled == 0 {
-                    return None;
-                }
-                let oldest = if *filled < ring.len() { 0 } else { *head };
-                let mut sum = 0.0;
-                for k in 0..*filled {
-                    sum += ring[(oldest + k) % ring.len()];
-                }
-                Some(sum / (*filled * MEAN_SQUARE_BLOCK_SAMPLES) as f64)
-            }
-            PowerSumKind::Forgetting {
-                weighted, weight, ..
-            } => {
-                if *weight == 0.0 {
-                    return None;
-                }
-                Some(weighted / (weight * MEAN_SQUARE_BLOCK_SAMPLES as f64))
-            }
-        }
+    fn snapshot(&self) -> Result<RatioEstimate, CoreError> {
+        self.tail
+            .ratio_from_spectra(self.hot.finalize()?, self.cold.finalize()?)
     }
 
-    fn window_samples(&self) -> f64 {
-        match &self.kind {
-            PowerSumKind::Sliding { filled, .. } => (filled * MEAN_SQUARE_BLOCK_SAMPLES) as f64,
-            PowerSumKind::Forgetting {
-                weight, weight_sq, ..
-            } => {
-                if *weight_sq == 0.0 {
-                    0.0
-                } else {
-                    weight * weight / weight_sq * MEAN_SQUARE_BLOCK_SAMPLES as f64
-                }
-            }
-        }
+    fn effective_samples(&self) -> f64 {
+        self.window_samples(&self.hot)
+            .min(self.window_samples(&self.cold))
     }
 }
 
-/// Windowed time-domain mean-square ratio.
-struct WindowedMeanSquareAccumulator {
-    hot: WindowedPowerSum,
-    cold: WindowedPowerSum,
+/// Opens the mean-square accumulator: one [`PowerSum`] per record.
+pub(crate) fn power_sums(window: EstimatorWindow) -> Result<Box<dyn RatioAccumulator>, CoreError> {
+    window.validate()?;
+    Ok(Box::new(PowerSums {
+        hot: PowerSum::new(window),
+        cold: PowerSum::new(window),
+    }))
 }
 
-impl WindowedRatioAccumulator for WindowedMeanSquareAccumulator {
+/// The time-domain mean-square ratio accumulator.
+struct PowerSums {
+    hot: PowerSum,
+    cold: PowerSum,
+}
+
+impl RatioAccumulator for PowerSums {
     fn push_hot(&mut self, chunk: &[f64]) -> Result<(), CoreError> {
         self.hot.push(chunk);
         Ok(())
@@ -653,153 +369,142 @@ impl WindowedRatioAccumulator for WindowedMeanSquareAccumulator {
     }
 
     fn snapshot(&self) -> Result<RatioEstimate, CoreError> {
-        let (hot_power, cold_power) = match (self.hot.power(), self.cold.power()) {
-            (Some(h), Some(c)) => (h, c),
-            _ => {
-                return Err(CoreError::Dsp(nfbist_dsp::DspError::EmptyInput {
-                    context: "mean_square",
-                }))
-            }
+        match (self.hot.power(), self.cold.power()) {
+            (Some(hot), Some(cold)) => MeanSquareEstimator::ratio_from_powers(hot, cold),
+            _ => Err(CoreError::Dsp(DspError::EmptyInput {
+                context: "mean_square",
+            })),
+        }
+    }
+
+    fn effective_samples(&self) -> f64 {
+        self.hot.window_samples().min(self.cold.window_samples())
+    }
+}
+
+/// One record's running power. For a cumulative window every sample
+/// folds into `sum` in stream order — the same fold, in the same order,
+/// as `stats::mean_square` over the whole record, so the result carries
+/// identical bits. For a retiring window `sum` holds only the partial
+/// block: each completed block of [`MEAN_SQUARE_BLOCK_SAMPLES`] retires
+/// into `blocks`, so emissions are quantized at block rate exactly like
+/// the Welch-based estimators are at segment rate, and chunk boundaries
+/// never change any float op.
+struct PowerSum {
+    sum: f64,
+    n: usize,
+    /// Blocks completed over the whole stream (retiring windows only).
+    retired: usize,
+    blocks: Option<Blocks>,
+}
+
+/// The completed block sums a retiring window keeps: block `i` in ring
+/// slot `i mod W`, or a λ-decayed sum with its weights `Σλᵏ`, `Σλ²ᵏ`.
+enum Blocks {
+    Sliding(Vec<f64>),
+    Forgetting {
+        lambda: f64,
+        sum: f64,
+        weight: f64,
+        weight_sq: f64,
+    },
+}
+
+impl PowerSum {
+    fn new(window: EstimatorWindow) -> Self {
+        let blocks = match window {
+            EstimatorWindow::Cumulative => None,
+            EstimatorWindow::Sliding { segments } => Some(Blocks::Sliding(vec![0.0; segments])),
+            EstimatorWindow::Forgetting { lambda } => Some(Blocks::Forgetting {
+                lambda,
+                sum: 0.0,
+                weight: 0.0,
+                weight_sq: 0.0,
+            }),
         };
-        if !(cold_power > 0.0) {
-            return Err(CoreError::Degenerate {
-                reason: "cold record carries no power",
-            });
+        PowerSum {
+            sum: 0.0,
+            n: 0,
+            retired: 0,
+            blocks,
         }
-        Ok(RatioEstimate {
-            ratio: hot_power / cold_power,
-            hot_power,
-            cold_power,
-            detail: RatioDetail::MeanSquare,
-        })
     }
 
-    fn effective_samples(&self) -> f64 {
-        self.hot.window_samples().min(self.cold.window_samples())
-    }
-}
-
-impl WindowedPowerRatioEstimator for MeanSquareEstimator {
-    fn begin_windowed(
-        &self,
-        window: EstimatorWindow,
-    ) -> Result<Box<dyn WindowedRatioAccumulator>, CoreError> {
-        Ok(Box::new(WindowedMeanSquareAccumulator {
-            hot: WindowedPowerSum::new(window)?,
-            cold: WindowedPowerSum::new(window)?,
-        }))
-    }
-}
-
-/// Windowed PSD band-power ratio: one retiring Welch per record.
-struct WindowedPsdAccumulator {
-    hot: WindowedWelch,
-    cold: WindowedWelch,
-    nfft: usize,
-    band: (f64, f64),
-}
-
-impl WindowedRatioAccumulator for WindowedPsdAccumulator {
-    fn push_hot(&mut self, chunk: &[f64]) -> Result<(), CoreError> {
-        self.hot.push(chunk)
-    }
-
-    fn push_cold(&mut self, chunk: &[f64]) -> Result<(), CoreError> {
-        self.cold.push(chunk)
-    }
-
-    fn snapshot(&self) -> Result<RatioEstimate, CoreError> {
-        let psd_hot = self.hot.finalize()?;
-        let psd_cold = self.cold.finalize()?;
-        let hot_power = psd_hot.band_power(self.band.0, self.band.1)?;
-        let cold_power = psd_cold.band_power(self.band.0, self.band.1)?;
-        if !(cold_power > 0.0) {
-            return Err(CoreError::Degenerate {
-                reason: "cold band carries no power",
-            });
+    fn push(&mut self, chunk: &[f64]) {
+        let Some(blocks) = &mut self.blocks else {
+            for &v in chunk {
+                self.sum += v * v;
+            }
+            self.n += chunk.len();
+            return;
+        };
+        for &v in chunk {
+            self.sum += v * v;
+            self.n += 1;
+            if self.n < MEAN_SQUARE_BLOCK_SAMPLES {
+                continue;
+            }
+            let block = std::mem::take(&mut self.sum);
+            match blocks {
+                Blocks::Sliding(ring) => {
+                    let len = ring.len();
+                    ring[self.retired % len] = block;
+                }
+                Blocks::Forgetting {
+                    lambda,
+                    sum,
+                    weight,
+                    weight_sq,
+                } => {
+                    *sum = *lambda * *sum + block;
+                    *weight = *lambda * *weight + 1.0;
+                    *weight_sq = *lambda * *lambda * *weight_sq + 1.0;
+                }
+            }
+            self.n = 0;
+            self.retired += 1;
         }
-        Ok(RatioEstimate {
-            ratio: hot_power / cold_power,
-            hot_power,
-            cold_power,
-            detail: RatioDetail::Psd {
-                nfft: self.nfft,
-                band: self.band,
-            },
-        })
     }
 
-    fn effective_samples(&self) -> f64 {
-        self.hot.window_samples().min(self.cold.window_samples())
-    }
-}
-
-impl WindowedPowerRatioEstimator for PsdRatioEstimator {
-    fn begin_windowed(
-        &self,
-        window: EstimatorWindow,
-    ) -> Result<Box<dyn WindowedRatioAccumulator>, CoreError> {
-        let cfg = WelchConfig::new(self.nfft())?;
-        Ok(Box::new(WindowedPsdAccumulator {
-            hot: WindowedWelch::new(cfg.clone(), self.sample_rate(), window)?,
-            cold: WindowedWelch::new(cfg, self.sample_rate(), window)?,
-            nfft: self.nfft(),
-            band: self.band(),
-        }))
-    }
-}
-
-/// Windowed 1-bit estimator: two retiring Welch accumulators feeding
-/// the same reference-normalization tail as the batch path.
-struct WindowedOneBitAccumulator {
-    estimator: OneBitPowerRatio,
-    hot: WindowedWelch,
-    cold: WindowedWelch,
-}
-
-impl WindowedRatioAccumulator for WindowedOneBitAccumulator {
-    fn push_hot(&mut self, chunk: &[f64]) -> Result<(), CoreError> {
-        self.hot.push(chunk)
+    /// Mean-square power over the window, or `None` before it holds a
+    /// sample (cumulative) or a completed block (retiring). The sliding
+    /// fold over block sums runs oldest → newest from 0.0 —
+    /// deterministic for any chunking, though regrouped relative to the
+    /// per-sample batch fold.
+    fn power(&self) -> Option<f64> {
+        match &self.blocks {
+            None => (self.n > 0).then(|| self.sum / self.n as f64),
+            Some(_) if self.retired == 0 => None,
+            Some(Blocks::Sliding(ring)) => {
+                let kept = self.retired.min(ring.len());
+                let sum =
+                    (self.retired - kept..self.retired).fold(0.0, |s, i| s + ring[i % ring.len()]);
+                Some(sum / (kept * MEAN_SQUARE_BLOCK_SAMPLES) as f64)
+            }
+            Some(Blocks::Forgetting { sum, weight, .. }) => {
+                Some(sum / (weight * MEAN_SQUARE_BLOCK_SAMPLES as f64))
+            }
+        }
     }
 
-    fn push_cold(&mut self, chunk: &[f64]) -> Result<(), CoreError> {
-        self.cold.push(chunk)
-    }
-
-    fn snapshot(&self) -> Result<RatioEstimate, CoreError> {
-        let psd_hot = self.hot.finalize()?;
-        let psd_cold = self.cold.finalize()?;
-        let est = self.estimator.finish(psd_hot, psd_cold)?;
-        Ok(RatioEstimate {
-            ratio: est.ratio,
-            hot_power: est.hot_noise_power,
-            cold_power: est.cold_noise_power,
-            detail: RatioDetail::OneBit(Box::new(est)),
-        })
-    }
-
-    fn effective_samples(&self) -> f64 {
-        self.hot.window_samples().min(self.cold.window_samples())
-    }
-}
-
-impl WindowedPowerRatioEstimator for OneBitPowerRatio {
-    fn begin_windowed(
-        &self,
-        window: EstimatorWindow,
-    ) -> Result<Box<dyn WindowedRatioAccumulator>, CoreError> {
-        let cfg = WelchConfig::new(self.nfft())?.window(self.window());
-        Ok(Box::new(WindowedOneBitAccumulator {
-            estimator: self.clone(),
-            hot: WindowedWelch::new(cfg.clone(), self.sample_rate(), window)?,
-            cold: WindowedWelch::new(cfg, self.sample_rate(), window)?,
-        }))
+    fn window_samples(&self) -> f64 {
+        match &self.blocks {
+            None => self.n as f64,
+            Some(Blocks::Sliding(ring)) => {
+                (self.retired.min(ring.len()) * MEAN_SQUARE_BLOCK_SAMPLES) as f64
+            }
+            Some(_) if self.retired == 0 => 0.0,
+            Some(Blocks::Forgetting {
+                weight, weight_sq, ..
+            }) => weight * weight / weight_sq * MEAN_SQUARE_BLOCK_SAMPLES as f64,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::power_ratio::{OneBitPowerRatio, PowerRatioEstimator, PsdRatioEstimator};
     use nfbist_analog::converter::OneBitDigitizer;
     use nfbist_analog::noise::WhiteNoise;
     use nfbist_analog::source::{SquareSource, Waveform};
@@ -819,7 +524,7 @@ mod tests {
         cold: &[f64],
         chunk: usize,
     ) -> RatioEstimate {
-        let mut acc = est.streaming().expect("streaming support").begin().unwrap();
+        let mut acc = est.begin(EstimatorWindow::Cumulative).unwrap();
         for c in hot.chunks(chunk) {
             acc.push_hot(c).unwrap();
         }
@@ -891,17 +596,21 @@ mod tests {
     #[test]
     fn degenerate_and_empty_cases_match_batch_semantics() {
         // Empty records error like the batch estimator.
-        let acc = MeanSquareEstimator.streaming().unwrap().begin().unwrap();
+        let acc = MeanSquareEstimator
+            .begin(EstimatorWindow::Cumulative)
+            .unwrap();
         assert!(acc.finish().is_err());
         // A powerless cold record is Degenerate, not a panic.
-        let mut acc = MeanSquareEstimator.streaming().unwrap().begin().unwrap();
+        let mut acc = MeanSquareEstimator
+            .begin(EstimatorWindow::Cumulative)
+            .unwrap();
         acc.push_hot(&[1.0, -1.0]).unwrap();
         acc.push_cold(&[0.0, 0.0]).unwrap();
         assert!(matches!(acc.finish(), Err(CoreError::Degenerate { .. })));
         // Too-short PSD records error like "input shorter than one
         // segment".
         let est = PsdRatioEstimator::new(FS, 1_024, (100.0, 9_000.0)).unwrap();
-        let mut acc = est.streaming().unwrap().begin().unwrap();
+        let mut acc = est.begin(EstimatorWindow::Cumulative).unwrap();
         acc.push_hot(&[0.5; 100]).unwrap();
         acc.push_cold(&[0.5; 100]).unwrap();
         assert!(acc.finish().is_err());
@@ -915,7 +624,7 @@ mod tests {
         // continued accumulation.
         let (hot, cold) = records(30_000);
         let est = PsdRatioEstimator::new(FS, 1_024, (100.0, 9_000.0)).unwrap();
-        let mut acc = est.streaming().unwrap().begin().unwrap();
+        let mut acc = est.begin(EstimatorWindow::Cumulative).unwrap();
         let chunk = 7_000;
         let mut fed = 0usize;
         for (h, c) in hot.chunks(chunk).zip(cold.chunks(chunk)) {
@@ -933,14 +642,16 @@ mod tests {
 
         // Same for the time-domain sums.
         let est = MeanSquareEstimator;
-        let mut acc = est.streaming().unwrap().begin().unwrap();
+        let mut acc = est.begin(EstimatorWindow::Cumulative).unwrap();
         acc.push_hot(&hot[..1_000]).unwrap();
         acc.push_cold(&cold[..1_000]).unwrap();
         let snap = acc.snapshot().unwrap();
         let fresh = stream_estimate(&est, &hot[..1_000], &cold[..1_000], 100);
         assert_eq!(snap.ratio.to_bits(), fresh.ratio.to_bits());
         // An empty accumulator's snapshot errors like finish.
-        let empty = MeanSquareEstimator.streaming().unwrap().begin().unwrap();
+        let empty = MeanSquareEstimator
+            .begin(EstimatorWindow::Cumulative)
+            .unwrap();
         assert!(empty.snapshot().is_err());
     }
 
@@ -950,12 +661,8 @@ mod tests {
         hot: &[f64],
         cold: &[f64],
         chunk: usize,
-    ) -> Box<dyn WindowedRatioAccumulator> {
-        let mut acc = est
-            .windowed()
-            .expect("windowed support")
-            .begin_windowed(window)
-            .unwrap();
+    ) -> Box<dyn RatioAccumulator> {
+        let mut acc = est.begin(window).unwrap();
         for (h, c) in hot.chunks(chunk).zip(cold.chunks(chunk)) {
             acc.push_hot(h).unwrap();
             acc.push_cold(c).unwrap();
@@ -1168,20 +875,13 @@ mod tests {
             &MeanSquareEstimator as &dyn PowerRatioEstimator,
             &PsdRatioEstimator::new(FS, 512, (100.0, 9_000.0)).unwrap(),
         ] {
-            let w = est.windowed().unwrap();
-            assert!(w
-                .begin_windowed(EstimatorWindow::Sliding { segments: 0 })
-                .is_err());
+            assert!(est.begin(EstimatorWindow::Sliding { segments: 0 }).is_err());
             for lambda in [0.0, 1.0, -0.5, f64::NAN] {
-                assert!(w
-                    .begin_windowed(EstimatorWindow::Forgetting { lambda })
-                    .is_err());
+                assert!(est.begin(EstimatorWindow::Forgetting { lambda }).is_err());
             }
             // Nothing pushed yet → snapshot errors like the batch
             // estimator on an empty record.
-            let acc = w
-                .begin_windowed(EstimatorWindow::Sliding { segments: 3 })
-                .unwrap();
+            let acc = est.begin(EstimatorWindow::Sliding { segments: 3 }).unwrap();
             assert!(acc.snapshot().is_err());
             assert_eq!(acc.effective_samples(), 0.0);
         }
@@ -1193,31 +893,82 @@ mod tests {
 
     #[test]
     fn discovery_through_trait_objects() {
-        let boxed: Box<dyn PowerRatioEstimator> =
-            Box::new(PsdRatioEstimator::new(FS, 512, (100.0, 9_000.0)).unwrap());
-        assert!(boxed.streaming().is_some());
-        assert!(boxed.windowed().is_some());
-        let boxed: Box<dyn PowerRatioEstimator> = Box::new(MeanSquareEstimator);
-        assert!(boxed.streaming().is_some());
-        assert!(boxed.windowed().is_some());
-        let boxed: Box<dyn PowerRatioEstimator> =
-            Box::new(OneBitPowerRatio::new(FS, 512, 3_000.0, (100.0, 1_500.0)).unwrap());
-        assert!(boxed.streaming().is_some());
-        assert!(boxed.windowed().is_some());
-
-        /// An estimator that never opted in.
-        #[derive(Debug)]
-        struct Opaque;
-        impl PowerRatioEstimator for Opaque {
-            fn label(&self) -> String {
-                "opaque".into()
-            }
-            fn estimate(&self, _h: &[f64], _c: &[f64]) -> Result<RatioEstimate, CoreError> {
-                Err(CoreError::Degenerate { reason: "stub" })
+        // Every Table 2 estimator opens every window through a boxed
+        // trait object (and a box of a box), and its cumulative
+        // accumulator finishes into the batch estimate's bits.
+        let n = 1 << 15;
+        let (hot, cold) = records(n);
+        let reference = SquareSource::new(3_000.0, 0.1)
+            .unwrap()
+            .generate(n, FS)
+            .unwrap();
+        let d = OneBitDigitizer::ideal();
+        let analog = (
+            WhiteNoise::new(1.0, 61).unwrap().generate(n),
+            WhiteNoise::new(0.5, 62).unwrap().generate(n),
+        );
+        let bh = d.digitize(&analog.0, &reference).unwrap().to_bipolar();
+        let bc = d.digitize(&analog.1, &reference).unwrap().to_bipolar();
+        type Case<'a> = (Box<dyn PowerRatioEstimator>, &'a [f64], &'a [f64]);
+        let cases: Vec<Case> = vec![
+            (Box::new(MeanSquareEstimator), &hot, &cold),
+            (
+                Box::new(PsdRatioEstimator::new(FS, 512, (100.0, 9_000.0)).unwrap()),
+                &hot,
+                &cold,
+            ),
+            (
+                Box::new(OneBitPowerRatio::new(FS, 2_048, 3_000.0, (100.0, 1_500.0)).unwrap()),
+                &bh,
+                &bc,
+            ),
+        ];
+        for (est, h, c) in cases {
+            let boxed: Box<dyn PowerRatioEstimator> = Box::new(est);
+            for window in [
+                EstimatorWindow::Cumulative,
+                EstimatorWindow::Sliding { segments: 6 },
+                EstimatorWindow::Forgetting { lambda: 0.8 },
+            ] {
+                let acc = windowed_feed(&*boxed, window, h, c, 1_777);
+                let snap = acc.snapshot().unwrap();
+                assert!(snap.ratio > 1.0, "{} {window:?}", boxed.label());
+                assert!(acc.effective_samples() > 0.0);
+                if window == EstimatorWindow::Cumulative {
+                    let batch = boxed.estimate(h, c).unwrap();
+                    assert_eq!(snap.ratio.to_bits(), batch.ratio.to_bits());
+                    assert_eq!(acc.finish().unwrap().ratio.to_bits(), batch.ratio.to_bits());
+                }
             }
         }
-        let boxed: Box<dyn PowerRatioEstimator> = Box::new(Opaque);
-        assert!(boxed.streaming().is_none(), "default is no streaming");
-        assert!(boxed.windowed().is_none(), "default is no windowing");
+    }
+
+    #[test]
+    fn cumulative_effective_samples_count_the_consumed_record() {
+        // Welch: the span the averaged segments cover (the last
+        // partial hop is not consumed yet); mean square: every pushed
+        // sample. Both take the shorter of the two records.
+        let (hot, cold) = records(30_000);
+        let (hot, cold) = (&hot[..], &cold[..25_000]);
+        let nfft = 1_024;
+        let hop = nfft / 2;
+        let psd = PsdRatioEstimator::new(FS, nfft, (100.0, 9_000.0)).unwrap();
+        let mut acc = psd.begin(EstimatorWindow::Cumulative).unwrap();
+        assert_eq!(acc.effective_samples(), 0.0);
+        acc.push_hot(hot).unwrap();
+        acc.push_cold(cold).unwrap();
+        let seen = (cold.len() - nfft) / hop + 1;
+        assert_eq!(acc.effective_samples(), ((seen - 1) * hop + nfft) as f64);
+
+        let mut acc = MeanSquareEstimator
+            .begin(EstimatorWindow::Cumulative)
+            .unwrap();
+        assert_eq!(acc.effective_samples(), 0.0);
+        for (h, c) in hot.chunks(999).zip(cold.chunks(999)) {
+            acc.push_hot(h).unwrap();
+            acc.push_cold(c).unwrap();
+        }
+        assert_eq!(acc.effective_samples(), cold.len() as f64);
+        assert!(EstimatorWindow::Cumulative.validate().is_ok());
     }
 }

@@ -3,7 +3,8 @@
 //! [`periodogram`] computes a single modified periodogram; [`WelchConfig`]
 //! implements Welch's method of averaged, overlapped, windowed segments —
 //! the estimator the paper's Matlab processing corresponds to (10⁶-sample
-//! acquisitions split into 10⁴-point FFTs).
+//! acquisitions split into 10⁴-point FFTs). [`WelchAccumulator`] runs the
+//! same segment kernel over a record pushed chunk by chunk.
 //!
 //! Scaling follows the usual one-sided density convention: for a window
 //! `w` with `U = Σw²`, the one-sided PSD is `|X[k]|²/(fs·U)` doubled on
@@ -16,7 +17,9 @@ mod welch;
 mod workspace;
 
 pub use periodogram::{periodogram, PeriodogramConfig};
-pub use streaming::{ForgettingWelch, SlidingWelch, StreamingWelch};
+pub use streaming::{
+    DecayedSum, ForgettingWelch, RetentionStore, SegmentRing, SlidingWelch, WelchAccumulator,
+};
 pub use welch::WelchConfig;
 pub use workspace::{DspWorkspace, PsdPlan};
 

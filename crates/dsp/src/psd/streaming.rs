@@ -1,37 +1,167 @@
 //! Chunked Welch estimation with bounded memory.
 //!
 //! The batch estimator ([`WelchConfig::estimate`]) needs the whole
-//! record in RAM, which caps acquisition length at memory. In the real
-//! hardware the correlator integrates on the fly — record length is a
-//! *time* cost, not a *memory* cost — and [`StreamingWelch`] restores
-//! that property to the simulation: samples arrive in chunks of any
-//! size, segments straddling chunk boundaries are reassembled through a
-//! carry buffer, and the finalized [`Spectrum`] is **bitwise identical**
-//! to the batch estimator run over the concatenated record (both paths
-//! run the same segment kernel, in the same order, with one final
-//! scaling — there is no numerical reordering to drift on).
+//! record in RAM; in the real hardware the correlator integrates on the
+//! fly, so record length is a *time* cost, not a *memory* cost.
+//! [`WelchAccumulator`] restores that to the simulation: chunks of any
+//! size arrive, segments straddling chunk boundaries are reassembled
+//! through a carry of at most one segment, and each completed segment's
+//! density goes to a [`RetentionStore`]:
 //!
-//! Steady-state memory is `O(segment)`: the carry buffer never exceeds
-//! one segment, the accumulator holds the one-sided bin count, and the
-//! FFT plan is the same one the batch path caches. After the first few
-//! pushes have grown the buffers, pushing further chunks performs no
-//! heap allocation at all (enforced by `crates/dsp/tests/alloc_free.rs`).
+//! * [`DecayedSum`] at λ = 1 ([`WelchAccumulator::cumulative`]) keeps
+//!   every segment; the estimate is **bitwise** the batch estimate over
+//!   the concatenated record (same segment kernel, same order, one final
+//!   scaling).
+//! * [`SegmentRing`] ([`SlidingWelch`]) keeps the last `W`; the estimate
+//!   is bitwise the batch estimate over the retained samples.
+//! * [`DecayedSum`] at λ < 1 ([`ForgettingWelch`]) decays the running
+//!   density per segment, for an effective depth of `(1 + λ)/(1 − λ)`.
+//!
+//! Segments complete at absolute stream positions, so every estimate is
+//! bit-identical across chunk sizes. The stores allocate at
+//! construction; after the first pushes, pushing and finalizing
+//! allocate nothing (`crates/dsp/tests/alloc_free.rs`).
 
 use crate::psd::welch::accumulate_segment;
 use crate::psd::{DspWorkspace, WelchConfig};
 use crate::spectrum::Spectrum;
 use crate::DspError;
 
-/// A push-based Welch accumulator over a conceptually unbounded record.
+/// Where a [`WelchAccumulator`] keeps completed segment densities and
+/// how it folds them into one estimate.
 ///
-/// Feed chunks with [`StreamingWelch::push`]; read the running estimate
-/// at any point with [`StreamingWelch::finalize`] (non-destructive, so
-/// a monitor can poll a live estimate mid-acquisition).
+/// The accumulator owns everything the retention policies share: the
+/// carry, the segment kernel, the hop, the segment counter and the
+/// finalize checks. A store only supplies the buffer each segment's
+/// density is accumulated into and the fold over what it retains;
+/// `seen` is the accumulator's count of segments completed so far.
+pub trait RetentionStore {
+    /// The buffer of `segment_len/2 + 1` densities that segment `index`
+    /// (counted from the start of the stream) adds its density into.
+    fn slot(&mut self, index: usize) -> &mut [f64];
+
+    /// Books the segment just added into its slot.
+    fn commit(&mut self) {}
+
+    /// How many of the `seen` segments the estimate draws on.
+    fn retained(&self, seen: usize) -> usize;
+
+    /// The equivalent number of equally weighted segments, the depth to
+    /// feed a `1/√n` variance model (0 before the first segment);
+    /// unweighted stores count their retained segments.
+    fn effective_segments(&self, seen: usize) -> f64 {
+        self.retained(seen) as f64
+    }
+
+    /// Writes the estimate, the weighted mean of the retained
+    /// densities, into `out`; called only once a segment completed.
+    fn fold_into(&self, seen: usize, out: &mut [f64]);
+
+    /// Forgets every segment, keeping the allocation.
+    fn clear(&mut self) {}
+}
+
+/// A ring of the last `W` segment densities: the sliding-window store.
+/// Segment `i` lives in slot `i mod W`. The fold sums the retained
+/// slots oldest to newest and scales by the count, the same left fold
+/// the batch estimator performs.
+#[derive(Debug, Clone)]
+pub struct SegmentRing {
+    slots: Vec<Vec<f64>>,
+}
+
+impl RetentionStore for SegmentRing {
+    fn slot(&mut self, index: usize) -> &mut [f64] {
+        let len = self.slots.len();
+        let slot = &mut self.slots[index % len];
+        slot.fill(0.0);
+        slot
+    }
+
+    fn retained(&self, seen: usize) -> usize {
+        seen.min(self.slots.len())
+    }
+
+    fn fold_into(&self, seen: usize, out: &mut [f64]) {
+        let kept = self.retained(seen);
+        out.fill(0.0);
+        for index in seen - kept..seen {
+            for (o, s) in out.iter_mut().zip(&self.slots[index % self.slots.len()]) {
+                *o += s;
+            }
+        }
+        let inv = 1.0 / kept as f64;
+        for o in out.iter_mut() {
+            *o *= inv;
+        }
+    }
+}
+
+/// An exponentially decayed running sum: the forgetting and cumulative
+/// store. Each segment density `Pᵢ` updates `a ← λ·a + Pᵢ` and
+/// `w ← λ·w + 1`; the estimate is `a·(1/w)`. The slot is `a` itself,
+/// scaled by λ before the segment adds `Pᵢ` into it. At λ = 1 the
+/// scaling is exact, so the estimate carries the batch estimator's bits.
+#[derive(Debug, Clone)]
+pub struct DecayedSum {
+    lambda: f64,
+    sum: Vec<f64>,
+    /// `Σ λ^k` over completed segments (the normalization weight).
+    weight: f64,
+    /// `Σ λ^{2k}`, tracked so the effective depth is exact.
+    weight_sq: f64,
+}
+
+impl RetentionStore for DecayedSum {
+    fn slot(&mut self, _index: usize) -> &mut [f64] {
+        for a in self.sum.iter_mut() {
+            *a *= self.lambda;
+        }
+        &mut self.sum
+    }
+
+    fn commit(&mut self) {
+        self.weight = self.lambda * self.weight + 1.0;
+        self.weight_sq = self.lambda * self.lambda * self.weight_sq + 1.0;
+    }
+
+    fn retained(&self, seen: usize) -> usize {
+        seen
+    }
+
+    fn effective_segments(&self, seen: usize) -> f64 {
+        if seen == 0 {
+            return 0.0;
+        }
+        self.weight * self.weight / self.weight_sq
+    }
+
+    fn fold_into(&self, _seen: usize, out: &mut [f64]) {
+        let inv = 1.0 / self.weight;
+        for (o, a) in out.iter_mut().zip(&self.sum) {
+            *o = a * inv;
+        }
+    }
+
+    fn clear(&mut self) {
+        self.sum.fill(0.0);
+        self.weight = 0.0;
+        self.weight_sq = 0.0;
+    }
+}
+
+/// A push-based Welch accumulator over a conceptually unbounded record,
+/// generic over the [`RetentionStore`] that decides which segments the
+/// estimate keeps.
+///
+/// Feed chunks with [`WelchAccumulator::push`]; read the estimate at
+/// any point with [`WelchAccumulator::finalize`] (non-destructive, so a
+/// monitor can poll a live estimate mid-acquisition).
 ///
 /// # Examples
 ///
 /// ```
-/// use nfbist_dsp::psd::{StreamingWelch, WelchConfig};
+/// use nfbist_dsp::psd::{WelchAccumulator, WelchConfig};
 ///
 /// # fn main() -> Result<(), nfbist_dsp::DspError> {
 /// let x: Vec<f64> = (0..8192).map(|n| (n as f64 * 0.37).sin()).collect();
@@ -41,184 +171,31 @@ use crate::DspError;
 /// let batch = cfg.estimate(&x, 10_000.0)?;
 ///
 /// // Same record pushed in odd-sized chunks: bitwise identical.
-/// let mut sw = StreamingWelch::new(cfg, 10_000.0)?;
+/// let mut acc = WelchAccumulator::cumulative(cfg, 10_000.0)?;
 /// for chunk in x.chunks(777) {
-///     sw.push(chunk)?;
+///     acc.push(chunk)?;
 /// }
-/// assert_eq!(sw.finalize()?, batch);
+/// assert_eq!(acc.finalize()?, batch);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug)]
-pub struct StreamingWelch {
+pub struct WelchAccumulator<S> {
     config: WelchConfig,
     sample_rate: f64,
     workspace: DspWorkspace,
     /// Samples waiting for enough successors to complete a segment
-    /// (global positions `[consumed, consumed + carry.len())`). Never
+    /// (global positions `[seen·hop, seen·hop + carry.len())`). Never
     /// grows beyond one segment length.
     carry: Vec<f64>,
-    /// Un-normalized density accumulator (`segment_len/2 + 1` bins).
-    accum: Vec<f64>,
-    segments: usize,
+    store: S,
+    /// Segments completed over the whole stream, retained or not.
+    seen: usize,
     pushed: usize,
 }
 
-impl StreamingWelch {
-    /// Creates an accumulator for `config` at `sample_rate` Hz.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::InvalidParameter`] for a non-positive sample
-    /// rate.
-    pub fn new(config: WelchConfig, sample_rate: f64) -> Result<Self, DspError> {
-        if !(sample_rate > 0.0) {
-            return Err(DspError::InvalidParameter {
-                name: "sample_rate",
-                reason: "must be positive",
-            });
-        }
-        let n = config.segment_len();
-        Ok(StreamingWelch {
-            config,
-            sample_rate,
-            workspace: DspWorkspace::new(),
-            carry: Vec::with_capacity(n),
-            accum: vec![0.0; n / 2 + 1],
-            segments: 0,
-            pushed: 0,
-        })
-    }
-
-    /// The Welch configuration being accumulated.
-    pub fn config(&self) -> &WelchConfig {
-        &self.config
-    }
-
-    /// The sample rate in hertz.
-    pub fn sample_rate(&self) -> f64 {
-        self.sample_rate
-    }
-
-    /// Total samples pushed so far.
-    pub fn samples_pushed(&self) -> usize {
-        self.pushed
-    }
-
-    /// Segments averaged so far.
-    pub fn segments(&self) -> usize {
-        self.segments
-    }
-
-    /// Appends a chunk of samples (any length, including empty).
-    ///
-    /// Every segment completed by the chunk is processed immediately —
-    /// the chunk itself is never retained beyond the at-most-one-segment
-    /// carry.
-    ///
-    /// # Errors
-    ///
-    /// Propagates FFT/plan errors (which cannot occur for a validated
-    /// configuration, but the signature stays honest).
-    pub fn push(&mut self, chunk: &[f64]) -> Result<(), DspError> {
-        let n = self.config.segment_len();
-        let hop = self.config.hop();
-        let detrend = self.config.detrend_enabled();
-        let policy = self.config.simd_policy();
-        let plan = self.workspace.plan(n, self.config.window_kind())?;
-        let mut rest = chunk;
-        loop {
-            // Top the carry up to exactly one segment.
-            let need = n - self.carry.len();
-            let take = need.min(rest.len());
-            self.carry.extend_from_slice(&rest[..take]);
-            rest = &rest[take..];
-            if self.carry.len() < n {
-                break;
-            }
-            accumulate_segment(
-                plan,
-                detrend,
-                policy,
-                self.sample_rate,
-                &self.carry,
-                &mut self.accum,
-            )?;
-            self.segments += 1;
-            // Advance by one hop; the overlap tail stays for the next
-            // segment. `drain` shifts in place — no allocation.
-            self.carry.drain(..hop.min(self.carry.len()));
-        }
-        self.pushed += chunk.len();
-        Ok(())
-    }
-
-    /// The running estimate: mean of the accumulated segment densities,
-    /// exactly as the batch estimator would scale them.
-    ///
-    /// Non-destructive — more chunks may be pushed afterwards and the
-    /// estimate re-read.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::EmptyInput`] before the first complete
-    /// segment (mirroring the batch estimator's "input shorter than one
-    /// segment").
-    pub fn finalize(&self) -> Result<Spectrum, DspError> {
-        let mut out = vec![0.0f64; self.accum.len()];
-        self.finalize_into(&mut out)?;
-        Spectrum::new(out, self.sample_rate, self.config.segment_len())
-    }
-
-    /// [`StreamingWelch::finalize`] into a caller-owned buffer of
-    /// `segment_len/2 + 1` densities (no allocation).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`StreamingWelch::finalize`], plus
-    /// [`DspError::LengthMismatch`] for a wrongly sized `out`.
-    pub fn finalize_into(&self, out: &mut [f64]) -> Result<(), DspError> {
-        if out.len() != self.accum.len() {
-            return Err(DspError::LengthMismatch {
-                expected: self.accum.len(),
-                actual: out.len(),
-                context: "streaming welch finalize (output)",
-            });
-        }
-        if self.segments == 0 {
-            return Err(DspError::EmptyInput {
-                context: "streaming welch (input shorter than one segment)",
-            });
-        }
-        let inv = 1.0 / self.segments as f64;
-        for (o, a) in out.iter_mut().zip(&self.accum) {
-            *o = a * inv;
-        }
-        Ok(())
-    }
-
-    /// Clears the accumulated state (carry, densities, counters) so the
-    /// instance — and its cached FFT plan — can accumulate a fresh
-    /// record.
-    pub fn reset(&mut self) {
-        self.carry.clear();
-        self.accum.fill(0.0);
-        self.segments = 0;
-        self.pushed = 0;
-    }
-}
-
-/// A sliding-window Welch estimator: only the last `window_segments`
-/// completed segments contribute to the estimate, older segments are
-/// retired as new ones arrive.
-///
-/// Each completed segment's one-sided density is written into its own
-/// ring slot (all slots allocated at construction, so steady-state
-/// pushes and finalizations allocate nothing). [`SlidingWelch::finalize`]
-/// sums the retained slots oldest-to-newest and scales by the count —
-/// the same left-fold the batch estimator performs — so the result is
-/// **bitwise identical** to [`WelchConfig::estimate`] run over exactly
-/// the retained samples (see [`SlidingWelch::retained_range`]).
+/// The sliding-window Welch estimator: only the last `window_segments`
+/// completed segments contribute, older ones retire as new ones arrive.
 ///
 /// # Examples
 ///
@@ -240,217 +217,10 @@ impl StreamingWelch {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug)]
-pub struct SlidingWelch {
-    config: WelchConfig,
-    sample_rate: f64,
-    workspace: DspWorkspace,
-    carry: Vec<f64>,
-    /// One density buffer (`segment_len/2 + 1` bins) per window slot.
-    ring: Vec<Vec<f64>>,
-    /// Next ring slot to overwrite; when the ring is full this is also
-    /// the oldest retained segment.
-    head: usize,
-    /// Retained segment count, `min(seen, ring.len())`.
-    filled: usize,
-    /// Segments completed over the whole stream (not just retained).
-    seen: usize,
-    pushed: usize,
-}
+pub type SlidingWelch = WelchAccumulator<SegmentRing>;
 
-impl SlidingWelch {
-    /// Creates a sliding estimator retaining the last `window_segments`
-    /// segments.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::InvalidParameter`] for a non-positive sample
-    /// rate or a zero-length window.
-    pub fn new(
-        config: WelchConfig,
-        sample_rate: f64,
-        window_segments: usize,
-    ) -> Result<Self, DspError> {
-        if !(sample_rate > 0.0) {
-            return Err(DspError::InvalidParameter {
-                name: "sample_rate",
-                reason: "must be positive",
-            });
-        }
-        if window_segments == 0 {
-            return Err(DspError::InvalidParameter {
-                name: "window_segments",
-                reason: "sliding window must retain at least one segment",
-            });
-        }
-        let n = config.segment_len();
-        Ok(SlidingWelch {
-            config,
-            sample_rate,
-            workspace: DspWorkspace::new(),
-            carry: Vec::with_capacity(n),
-            ring: vec![vec![0.0; n / 2 + 1]; window_segments],
-            head: 0,
-            filled: 0,
-            seen: 0,
-            pushed: 0,
-        })
-    }
-
-    /// The Welch configuration being accumulated.
-    pub fn config(&self) -> &WelchConfig {
-        &self.config
-    }
-
-    /// The sample rate in hertz.
-    pub fn sample_rate(&self) -> f64 {
-        self.sample_rate
-    }
-
-    /// The window capacity in segments.
-    pub fn window_segments(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// Total samples pushed so far.
-    pub fn samples_pushed(&self) -> usize {
-        self.pushed
-    }
-
-    /// Segments currently retained in the window.
-    pub fn segments_retained(&self) -> usize {
-        self.filled
-    }
-
-    /// Segments completed over the whole stream, including retired ones.
-    pub fn segments_seen(&self) -> usize {
-        self.seen
-    }
-
-    /// Absolute sample positions `[start, end)` of the samples the
-    /// retained segments cover, or `None` before the first complete
-    /// segment. A batch estimate over exactly this span of the pushed
-    /// stream reproduces [`SlidingWelch::finalize`] bit for bit.
-    pub fn retained_range(&self) -> Option<(usize, usize)> {
-        if self.filled == 0 {
-            return None;
-        }
-        let n = self.config.segment_len();
-        let hop = self.config.hop();
-        let last_start = (self.seen - 1) * hop;
-        let first_start = (self.seen - self.filled) * hop;
-        Some((first_start, last_start + n))
-    }
-
-    /// Appends a chunk of samples; every segment the chunk completes
-    /// overwrites the oldest ring slot.
-    ///
-    /// # Errors
-    ///
-    /// Propagates FFT/plan errors (which cannot occur for a validated
-    /// configuration, but the signature stays honest).
-    pub fn push(&mut self, chunk: &[f64]) -> Result<(), DspError> {
-        let n = self.config.segment_len();
-        let hop = self.config.hop();
-        let detrend = self.config.detrend_enabled();
-        let policy = self.config.simd_policy();
-        let plan = self.workspace.plan(n, self.config.window_kind())?;
-        let mut rest = chunk;
-        loop {
-            let need = n - self.carry.len();
-            let take = need.min(rest.len());
-            self.carry.extend_from_slice(&rest[..take]);
-            rest = &rest[take..];
-            if self.carry.len() < n {
-                break;
-            }
-            let slot = &mut self.ring[self.head];
-            slot.fill(0.0);
-            accumulate_segment(plan, detrend, policy, self.sample_rate, &self.carry, slot)?;
-            self.head = (self.head + 1) % self.ring.len();
-            self.filled = (self.filled + 1).min(self.ring.len());
-            self.seen += 1;
-            self.carry.drain(..hop.min(self.carry.len()));
-        }
-        self.pushed += chunk.len();
-        Ok(())
-    }
-
-    /// The windowed estimate: mean of the retained segment densities,
-    /// summed oldest-to-newest exactly as the batch estimator folds its
-    /// segments. Non-destructive.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::EmptyInput`] before the first complete
-    /// segment.
-    pub fn finalize(&self) -> Result<Spectrum, DspError> {
-        let mut out = vec![0.0f64; self.config.segment_len() / 2 + 1];
-        self.finalize_into(&mut out)?;
-        Spectrum::new(out, self.sample_rate, self.config.segment_len())
-    }
-
-    /// [`SlidingWelch::finalize`] into a caller-owned buffer of
-    /// `segment_len/2 + 1` densities (no allocation).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SlidingWelch::finalize`], plus
-    /// [`DspError::LengthMismatch`] for a wrongly sized `out`.
-    pub fn finalize_into(&self, out: &mut [f64]) -> Result<(), DspError> {
-        let half = self.config.segment_len() / 2 + 1;
-        if out.len() != half {
-            return Err(DspError::LengthMismatch {
-                expected: half,
-                actual: out.len(),
-                context: "sliding welch finalize (output)",
-            });
-        }
-        if self.filled == 0 {
-            return Err(DspError::EmptyInput {
-                context: "sliding welch (input shorter than one segment)",
-            });
-        }
-        // Oldest slot: once the ring has wrapped, `head` points at it.
-        let start = if self.filled < self.ring.len() {
-            0
-        } else {
-            self.head
-        };
-        out.fill(0.0);
-        for k in 0..self.filled {
-            let slot = &self.ring[(start + k) % self.ring.len()];
-            for (o, s) in out.iter_mut().zip(slot) {
-                *o += s;
-            }
-        }
-        let inv = 1.0 / self.filled as f64;
-        for o in out.iter_mut() {
-            *o *= inv;
-        }
-        Ok(())
-    }
-
-    /// Clears the window (carry, ring, counters) keeping the cached FFT
-    /// plan and the ring allocation.
-    pub fn reset(&mut self) {
-        self.carry.clear();
-        self.head = 0;
-        self.filled = 0;
-        self.seen = 0;
-        self.pushed = 0;
-    }
-}
-
-/// An exponentially-forgetting Welch estimator: each completed segment
-/// decays the running density by `lambda` before adding its own, so the
-/// estimate tracks the recent past with an effective depth of about
-/// `(1 + lambda) / (1 - lambda)` segments.
-///
-/// Segment completions happen at absolute stream positions that do not
-/// depend on how the stream was chunked, so the estimate — like every
-/// other streaming path in this workspace — is a pure function of the
-/// pushed samples: **bit-identical across chunk sizes**.
+/// The exponentially forgetting Welch estimator (and, built with
+/// [`WelchAccumulator::cumulative`], the plain running average).
 ///
 /// # Examples
 ///
@@ -470,57 +240,23 @@ impl SlidingWelch {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug)]
-pub struct ForgettingWelch {
-    config: WelchConfig,
-    sample_rate: f64,
-    lambda: f64,
-    workspace: DspWorkspace,
-    carry: Vec<f64>,
-    /// Decayed density accumulator (`segment_len/2 + 1` bins).
-    accum: Vec<f64>,
-    /// Fresh segment density scratch, zeroed and refilled per segment.
-    scratch: Vec<f64>,
-    /// `Σ λ^k` over completed segments (the normalization weight).
-    weight: f64,
-    /// `Σ λ^{2k}`, tracked so the effective window depth is exact.
-    weight_sq: f64,
-    seen: usize,
-    pushed: usize,
-}
+pub type ForgettingWelch = WelchAccumulator<DecayedSum>;
 
-impl ForgettingWelch {
-    /// Creates a forgetting estimator with decay factor `lambda`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::InvalidParameter`] for a non-positive sample
-    /// rate or a `lambda` outside the open interval `(0, 1)` (at 1 the
-    /// estimator degenerates to [`StreamingWelch`]).
-    pub fn new(config: WelchConfig, sample_rate: f64, lambda: f64) -> Result<Self, DspError> {
+impl<S: RetentionStore> WelchAccumulator<S> {
+    fn with_store(config: WelchConfig, sample_rate: f64, store: S) -> Result<Self, DspError> {
         if !(sample_rate > 0.0) {
             return Err(DspError::InvalidParameter {
                 name: "sample_rate",
                 reason: "must be positive",
             });
         }
-        if !(lambda > 0.0 && lambda < 1.0) {
-            return Err(DspError::InvalidParameter {
-                name: "lambda",
-                reason: "forgetting factor must lie in (0, 1)",
-            });
-        }
         let n = config.segment_len();
-        Ok(ForgettingWelch {
+        Ok(WelchAccumulator {
             config,
             sample_rate,
-            lambda,
             workspace: DspWorkspace::new(),
             carry: Vec::with_capacity(n),
-            accum: vec![0.0; n / 2 + 1],
-            scratch: vec![0.0; n / 2 + 1],
-            weight: 0.0,
-            weight_sq: 0.0,
+            store,
             seen: 0,
             pushed: 0,
         })
@@ -536,34 +272,52 @@ impl ForgettingWelch {
         self.sample_rate
     }
 
-    /// The per-segment decay factor.
-    pub fn lambda(&self) -> f64 {
-        self.lambda
-    }
-
     /// Total samples pushed so far.
     pub fn samples_pushed(&self) -> usize {
         self.pushed
     }
 
-    /// Segments completed over the whole stream.
+    /// Segments completed over the whole stream, including retired ones.
     pub fn segments_seen(&self) -> usize {
         self.seen
     }
 
-    /// The equivalent number of equally-weighted segments,
-    /// `(Σλ^k)² / Σλ^{2k}` — the depth to feed a `1/√n` variance model.
-    /// Grows from 1 toward `(1 + λ) / (1 - λ)` and is 0 before the
-    /// first segment.
-    pub fn effective_segments(&self) -> f64 {
-        if self.seen == 0 {
-            return 0.0;
-        }
-        self.weight * self.weight / self.weight_sq
+    /// Segments the estimate currently draws on.
+    pub fn segments_retained(&self) -> usize {
+        self.store.retained(self.seen)
     }
 
-    /// Appends a chunk of samples; every segment the chunk completes
-    /// decays the accumulator and adds its density.
+    /// The equivalent number of equally weighted segments,
+    /// `(Σwᵢ)² / Σwᵢ²` over the retained segment weights: the retained
+    /// count for a ring or a cumulative sum, growing from 1 toward
+    /// `(1 + λ)/(1 − λ)` for a forgetting sum, 0 before the first
+    /// segment.
+    pub fn effective_segments(&self) -> f64 {
+        self.store.effective_segments(self.seen)
+    }
+
+    /// Absolute sample positions `[start, end)` of the samples the
+    /// retained segments cover, or `None` before the first complete
+    /// segment. For a ring or a cumulative sum, a batch estimate over
+    /// exactly this span of the pushed stream reproduces
+    /// [`WelchAccumulator::finalize`] bit for bit.
+    pub fn retained_range(&self) -> Option<(usize, usize)> {
+        let kept = self.segments_retained();
+        if kept == 0 {
+            return None;
+        }
+        let hop = self.config.hop();
+        Some((
+            (self.seen - kept) * hop,
+            (self.seen - 1) * hop + self.config.segment_len(),
+        ))
+    }
+
+    /// Appends a chunk of samples (any length, including empty).
+    ///
+    /// Every segment the chunk completes is processed immediately and
+    /// handed to the store — the chunk itself is never retained beyond
+    /// the at-most-one-segment carry.
     ///
     /// # Errors
     ///
@@ -577,83 +331,160 @@ impl ForgettingWelch {
         let plan = self.workspace.plan(n, self.config.window_kind())?;
         let mut rest = chunk;
         loop {
-            let need = n - self.carry.len();
-            let take = need.min(rest.len());
+            // Top the carry up to exactly one segment.
+            let take = (n - self.carry.len()).min(rest.len());
             self.carry.extend_from_slice(&rest[..take]);
             rest = &rest[take..];
             if self.carry.len() < n {
                 break;
             }
-            self.scratch.fill(0.0);
             accumulate_segment(
                 plan,
                 detrend,
                 policy,
                 self.sample_rate,
                 &self.carry,
-                &mut self.scratch,
+                self.store.slot(self.seen),
             )?;
-            for (a, s) in self.accum.iter_mut().zip(&self.scratch) {
-                *a = self.lambda * *a + s;
-            }
-            self.weight = self.lambda * self.weight + 1.0;
-            self.weight_sq = self.lambda * self.lambda * self.weight_sq + 1.0;
+            self.store.commit();
             self.seen += 1;
+            // Advance by one hop; the overlap tail stays for the next
+            // segment. `drain` shifts in place — no allocation.
             self.carry.drain(..hop.min(self.carry.len()));
         }
         self.pushed += chunk.len();
         Ok(())
     }
 
-    /// The forgetting estimate: decayed density sum over the decayed
-    /// weight sum. Non-destructive.
+    /// The estimate over the retained segments, scaled exactly as the
+    /// batch estimator scales its segment sum.
+    ///
+    /// Non-destructive — more chunks may be pushed afterwards and the
+    /// estimate re-read.
     ///
     /// # Errors
     ///
     /// Returns [`DspError::EmptyInput`] before the first complete
-    /// segment.
+    /// segment (mirroring the batch estimator's "input shorter than one
+    /// segment").
     pub fn finalize(&self) -> Result<Spectrum, DspError> {
-        let mut out = vec![0.0f64; self.accum.len()];
+        let mut out = vec![0.0f64; self.config.segment_len() / 2 + 1];
         self.finalize_into(&mut out)?;
         Spectrum::new(out, self.sample_rate, self.config.segment_len())
     }
 
-    /// [`ForgettingWelch::finalize`] into a caller-owned buffer of
+    /// [`WelchAccumulator::finalize`] into a caller-owned buffer of
     /// `segment_len/2 + 1` densities (no allocation).
     ///
     /// # Errors
     ///
-    /// Same as [`ForgettingWelch::finalize`], plus
+    /// Same as [`WelchAccumulator::finalize`], plus
     /// [`DspError::LengthMismatch`] for a wrongly sized `out`.
     pub fn finalize_into(&self, out: &mut [f64]) -> Result<(), DspError> {
-        if out.len() != self.accum.len() {
+        let half = self.config.segment_len() / 2 + 1;
+        if out.len() != half {
             return Err(DspError::LengthMismatch {
-                expected: self.accum.len(),
+                expected: half,
                 actual: out.len(),
-                context: "forgetting welch finalize (output)",
+                context: "welch accumulator finalize (output)",
             });
         }
         if self.seen == 0 {
             return Err(DspError::EmptyInput {
-                context: "forgetting welch (input shorter than one segment)",
+                context: "welch accumulator (input shorter than one segment)",
             });
         }
-        let inv = 1.0 / self.weight;
-        for (o, a) in out.iter_mut().zip(&self.accum) {
-            *o = a * inv;
-        }
+        self.store.fold_into(self.seen, out);
         Ok(())
     }
 
-    /// Clears the accumulated state keeping the cached FFT plan.
+    /// Clears the accumulated state (carry, store, counters) so the
+    /// instance — and its cached FFT plan and buffers — can accumulate
+    /// a fresh record.
     pub fn reset(&mut self) {
         self.carry.clear();
-        self.accum.fill(0.0);
-        self.scratch.fill(0.0);
-        self.weight = 0.0;
-        self.weight_sq = 0.0;
+        self.store.clear();
         self.seen = 0;
         self.pushed = 0;
+    }
+}
+
+impl WelchAccumulator<SegmentRing> {
+    /// Creates a sliding estimator retaining the last `window_segments`
+    /// segments (all ring slots are allocated here).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DspError::InvalidParameter`] for a non-positive sample
+    /// rate or a zero-length window.
+    pub fn new(
+        config: WelchConfig,
+        sample_rate: f64,
+        window_segments: usize,
+    ) -> Result<Self, DspError> {
+        if window_segments == 0 {
+            return Err(DspError::InvalidParameter {
+                name: "window_segments",
+                reason: "sliding window must retain at least one segment",
+            });
+        }
+        let bins = config.segment_len() / 2 + 1;
+        let ring = SegmentRing {
+            slots: vec![vec![0.0; bins]; window_segments],
+        };
+        Self::with_store(config, sample_rate, ring)
+    }
+
+    /// The window capacity in segments.
+    pub fn window_segments(&self) -> usize {
+        self.store.slots.len()
+    }
+}
+
+impl WelchAccumulator<DecayedSum> {
+    /// Creates a forgetting estimator with decay factor `lambda`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DspError::InvalidParameter`] for a non-positive sample
+    /// rate or a `lambda` outside the open interval `(0, 1)` (λ = 1 is
+    /// [`WelchAccumulator::cumulative`]).
+    pub fn new(config: WelchConfig, sample_rate: f64, lambda: f64) -> Result<Self, DspError> {
+        if !(lambda > 0.0 && lambda < 1.0) {
+            return Err(DspError::InvalidParameter {
+                name: "lambda",
+                reason: "forgetting factor must lie in (0, 1)",
+            });
+        }
+        Self::decayed(config, sample_rate, lambda)
+    }
+
+    /// Creates a cumulative estimator: every segment keeps weight 1, so
+    /// the estimate is bitwise the batch estimator over everything
+    /// pushed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DspError::InvalidParameter`] for a non-positive sample
+    /// rate.
+    pub fn cumulative(config: WelchConfig, sample_rate: f64) -> Result<Self, DspError> {
+        Self::decayed(config, sample_rate, 1.0)
+    }
+
+    fn decayed(config: WelchConfig, sample_rate: f64, lambda: f64) -> Result<Self, DspError> {
+        let bins = config.segment_len() / 2 + 1;
+        let store = DecayedSum {
+            lambda,
+            sum: vec![0.0; bins],
+            weight: 0.0,
+            weight_sq: 0.0,
+        };
+        Self::with_store(config, sample_rate, store)
+    }
+
+    /// The per-segment decay factor (1 for a cumulative estimator).
+    pub fn lambda(&self) -> f64 {
+        self.store.lambda
     }
 }
 
@@ -677,8 +508,30 @@ mod tests {
     #[test]
     fn construction_validation() {
         let cfg = WelchConfig::new(64).unwrap();
-        assert!(StreamingWelch::new(cfg.clone(), 0.0).is_err());
-        assert!(StreamingWelch::new(cfg, 1_000.0).is_ok());
+        assert!(WelchAccumulator::cumulative(cfg.clone(), 0.0).is_err());
+        assert!(WelchAccumulator::cumulative(cfg, 1_000.0).is_ok());
+    }
+
+    #[test]
+    fn cumulative_retains_the_consumed_span_at_unit_weight() {
+        let fs = 4_000.0;
+        let x = noise(3_000, 9);
+        let cfg = WelchConfig::new(256).unwrap();
+        let mut acc = WelchAccumulator::cumulative(cfg.clone(), fs).unwrap();
+        assert_eq!(acc.lambda(), 1.0);
+        assert_eq!(acc.retained_range(), None);
+        assert_eq!(acc.effective_segments(), 0.0);
+        acc.push(&x).unwrap();
+        let seen = cfg.segment_count(x.len());
+        assert_eq!(acc.segments_seen(), seen);
+        assert_eq!(acc.segments_retained(), seen);
+        assert_eq!(acc.effective_segments(), seen as f64);
+        let (start, end) = acc.retained_range().unwrap();
+        assert_eq!((start, end), (0, (seen - 1) * 128 + 256));
+        assert_eq!(
+            acc.finalize().unwrap(),
+            cfg.estimate(&x[start..end], fs).unwrap()
+        );
     }
 
     #[test]
@@ -693,12 +546,12 @@ mod tests {
                     .detrend(detrend);
                 let batch = cfg.estimate(&x, fs).unwrap();
                 for chunk in [1usize, 63, nfft / 2, nfft, nfft + 1, 3 * nfft, x.len()] {
-                    let mut sw = StreamingWelch::new(cfg.clone(), fs).unwrap();
+                    let mut sw = WelchAccumulator::cumulative(cfg.clone(), fs).unwrap();
                     for c in x.chunks(chunk) {
                         sw.push(c).unwrap();
                     }
                     assert_eq!(sw.samples_pushed(), x.len());
-                    assert_eq!(sw.segments(), cfg.segment_count(x.len()));
+                    assert_eq!(sw.segments_seen(), cfg.segment_count(x.len()));
                     let streamed = sw.finalize().unwrap();
                     assert_eq!(
                         streamed, batch,
@@ -719,7 +572,7 @@ mod tests {
             .overlap(0.75)
             .unwrap();
         let batch = cfg.estimate(&x, fs).unwrap();
-        let mut sw = StreamingWelch::new(cfg, fs).unwrap();
+        let mut sw = WelchAccumulator::cumulative(cfg, fs).unwrap();
         for c in x.chunks(97) {
             sw.push(c).unwrap();
         }
@@ -731,7 +584,7 @@ mod tests {
         let fs = 1_000.0;
         let x = noise(4_096, 11);
         let cfg = WelchConfig::new(256).unwrap();
-        let mut sw = StreamingWelch::new(cfg.clone(), fs).unwrap();
+        let mut sw = WelchAccumulator::cumulative(cfg.clone(), fs).unwrap();
         sw.push(&x[..2_048]).unwrap();
         let mid = sw.finalize().unwrap();
         assert_eq!(mid, cfg.estimate(&x[..2_048], fs).unwrap());
@@ -743,12 +596,12 @@ mod tests {
     #[test]
     fn empty_and_short_inputs_error_like_batch() {
         let cfg = WelchConfig::new(256).unwrap();
-        let sw = StreamingWelch::new(cfg.clone(), 1_000.0).unwrap();
+        let sw = WelchAccumulator::cumulative(cfg.clone(), 1_000.0).unwrap();
         assert!(sw.finalize().is_err(), "no segment yet");
-        let mut sw = StreamingWelch::new(cfg, 1_000.0).unwrap();
+        let mut sw = WelchAccumulator::cumulative(cfg, 1_000.0).unwrap();
         sw.push(&[]).unwrap();
         sw.push(&noise(255, 1)).unwrap();
-        assert_eq!(sw.segments(), 0);
+        assert_eq!(sw.segments_seen(), 0);
         assert!(sw.finalize().is_err());
         let mut out = vec![0.0; 5];
         assert!(sw.finalize_into(&mut out).is_err(), "wrong output length");
@@ -757,7 +610,7 @@ mod tests {
     #[test]
     fn carry_stays_bounded_by_one_segment() {
         let cfg = WelchConfig::new(128).unwrap();
-        let mut sw = StreamingWelch::new(cfg, 1_000.0).unwrap();
+        let mut sw = WelchAccumulator::cumulative(cfg, 1_000.0).unwrap();
         for c in noise(10_000, 5).chunks(1_000) {
             sw.push(c).unwrap();
             assert!(sw.carry.len() < 128, "carry {}", sw.carry.len());
@@ -893,7 +746,7 @@ mod tests {
         let quiet = noise(256 * 32, 5);
         let loud: Vec<f64> = noise(256 * 32, 6).iter().map(|v| v * 4.0).collect();
         let mut fw = ForgettingWelch::new(cfg.clone(), fs, 0.5).unwrap();
-        let mut cumulative = StreamingWelch::new(cfg, fs).unwrap();
+        let mut cumulative = WelchAccumulator::cumulative(cfg, fs).unwrap();
         for x in [&quiet, &loud] {
             fw.push(x).unwrap();
             cumulative.push(x).unwrap();
@@ -913,7 +766,11 @@ mod tests {
         assert!(ForgettingWelch::new(cfg.clone(), 0.0, 0.5).is_err());
         assert!(ForgettingWelch::new(cfg.clone(), 1_000.0, 0.0).is_err());
         assert!(ForgettingWelch::new(cfg.clone(), 1_000.0, 1.0).is_err());
-        assert!(ForgettingWelch::new(cfg, 1_000.0, 0.99).is_ok());
+        assert!(ForgettingWelch::new(cfg.clone(), 1_000.0, 0.99).is_ok());
+        assert_eq!(
+            ForgettingWelch::new(cfg, 1_000.0, 0.5).unwrap().lambda(),
+            0.5
+        );
     }
 
     #[test]
@@ -922,11 +779,11 @@ mod tests {
         let a = noise(2_048, 21);
         let b = noise(2_048, 22);
         let cfg = WelchConfig::new(512).unwrap();
-        let mut sw = StreamingWelch::new(cfg.clone(), fs).unwrap();
+        let mut sw = WelchAccumulator::cumulative(cfg.clone(), fs).unwrap();
         sw.push(&a).unwrap();
         let _ = sw.finalize().unwrap();
         sw.reset();
-        assert_eq!(sw.segments(), 0);
+        assert_eq!(sw.segments_seen(), 0);
         assert_eq!(sw.samples_pushed(), 0);
         for c in b.chunks(300) {
             sw.push(c).unwrap();

@@ -12,7 +12,7 @@ use crate::DspError;
 ///
 /// This is the single segment kernel shared by the batch estimator
 /// ([`WelchConfig::estimate_into`]) and the chunked accumulator
-/// ([`crate::psd::StreamingWelch`]); sharing it is what makes the two
+/// ([`crate::psd::WelchAccumulator`]); sharing it is what makes the two
 /// paths bitwise-identical by construction.
 ///
 /// The hot loops (detrend subtract, window multiply, FFT butterflies,

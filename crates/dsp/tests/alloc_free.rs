@@ -137,14 +137,14 @@ fn allocating_entry_point_still_allocates_but_matches() {
 
 #[test]
 fn steady_state_streaming_welch_push_is_allocation_free() {
-    use nfbist_dsp::psd::StreamingWelch;
+    use nfbist_dsp::psd::WelchAccumulator;
     // O(segment) memory means: once the carry, accumulator and plan
     // exist, pushing more chunks of a long record allocates nothing —
     // record length is a pure time cost.
     for nfft in [1_024usize, 1_000, 1_018] {
         let chunk = noise(1_777, 13);
         let cfg = WelchConfig::new(nfft).unwrap().window(Window::Hann);
-        let mut sw = StreamingWelch::new(cfg, 20_000.0).unwrap();
+        let mut sw = WelchAccumulator::cumulative(cfg, 20_000.0).unwrap();
         // Warm-up: plans the FFT, grows the carry to one segment.
         sw.push(&chunk).unwrap();
         sw.push(&chunk).unwrap();
@@ -159,11 +159,11 @@ fn steady_state_streaming_welch_push_is_allocation_free() {
             count, 0,
             "steady-state streaming push (nfft {nfft}) must not allocate"
         );
-        assert!(sw.segments() > 0);
+        assert!(sw.segments_seen() > 0);
     }
     // And the no-allocation finalize writes into caller scratch.
     let chunk = noise(4_096, 14);
-    let mut sw = StreamingWelch::new(WelchConfig::new(512).unwrap(), 8_000.0).unwrap();
+    let mut sw = WelchAccumulator::cumulative(WelchConfig::new(512).unwrap(), 8_000.0).unwrap();
     sw.push(&chunk).unwrap();
     let mut out = vec![0.0f64; 257];
     sw.finalize_into(&mut out).unwrap();

@@ -238,18 +238,19 @@ proptest! {
     /// The chunked Welch accumulator must agree with the batch
     /// estimator to the last bit, for chunk sizes smaller than, equal
     /// to, and non-divisors of the segment length (and across the
-    /// radix-2, mixed-radix and Bluestein engines, windows, and
-    /// detrending).
+    /// radix-2, mixed-radix and Bluestein engines, every overlap class,
+    /// windows, and detrending).
     #[test]
     fn streaming_welch_is_bitwise_equal_to_batch(
         signal in finite_signal(96),
         seg_pow in 5u32..9,
         engine in 0usize..3,
+        overlap_class in 0usize..4,
         detrend in any::<bool>(),
         chunk_class in 0usize..3,
         jitter in 1usize..31,
     ) {
-        use nfbist_dsp::psd::{StreamingWelch, WelchConfig};
+        use nfbist_dsp::psd::{WelchAccumulator, WelchConfig};
 
         let nfft = segment_len(engine, seg_pow);
         let total = nfft * 5 + jitter; // several segments + ragged tail
@@ -259,10 +260,15 @@ proptest! {
             1 => nfft,                         // exactly one segment
             _ => nfft + jitter,                // non-divisor straddler
         };
+        let overlap = [0.0, 0.25, 0.5, 0.75][overlap_class];
 
-        let cfg = WelchConfig::new(nfft).unwrap().detrend(detrend);
+        let cfg = WelchConfig::new(nfft)
+            .unwrap()
+            .overlap(overlap)
+            .unwrap()
+            .detrend(detrend);
         let batch = cfg.estimate(&x, 10_000.0).unwrap();
-        let mut sw = StreamingWelch::new(cfg, 10_000.0).unwrap();
+        let mut sw = WelchAccumulator::cumulative(cfg, 10_000.0).unwrap();
         for c in x.chunks(chunk) {
             sw.push(c).unwrap();
         }
@@ -377,6 +383,66 @@ proptest! {
         let batch = cfg.estimate(&x[..nfft], 10_000.0).unwrap();
         for (s, r) in single.density().iter().zip(batch.density()) {
             prop_assert_eq!(s.to_bits(), r.to_bits());
+        }
+    }
+
+    /// The decayed store against its defining recursion: with `Pᵢ` the
+    /// batch estimate of segment `i` alone, `a ← λ·a + Pᵢ`,
+    /// `w ← λ·w + 1` and the estimate `a·(1/w)`, bit for bit — for the
+    /// forgetting estimator and for the cumulative accumulator as
+    /// λ = 1, on all three FFT engines, every overlap class and every
+    /// chunking.
+    #[test]
+    fn decayed_welch_is_bitwise_the_recursion_over_single_segment_estimates(
+        signal in finite_signal(96),
+        seg_pow in 5u32..9,
+        engine in 0usize..3,
+        overlap_class in 0usize..4,
+        forgetting in 0.05f64..0.95,
+        cumulative in any::<bool>(),
+        total_mult in 1usize..6,
+        chunk_class in 0usize..3,
+        jitter in 1usize..31,
+    ) {
+        use nfbist_dsp::psd::{ForgettingWelch, WelchAccumulator, WelchConfig};
+
+        let fs = 10_000.0;
+        let nfft = segment_len(engine, seg_pow);
+        let total = nfft * total_mult + jitter;
+        let x = cycled(&signal, total);
+        let chunk = match chunk_class {
+            0 => jitter,
+            1 => nfft,
+            _ => nfft + jitter,
+        };
+        let overlap = [0.0, 0.25, 0.5, 0.75][overlap_class];
+        let cfg = WelchConfig::new(nfft).unwrap().overlap(overlap).unwrap();
+        let (mut acc, lambda) = if cumulative {
+            (WelchAccumulator::cumulative(cfg.clone(), fs).unwrap(), 1.0)
+        } else {
+            (ForgettingWelch::new(cfg.clone(), fs, forgetting).unwrap(), forgetting)
+        };
+        for c in x.chunks(chunk) {
+            acc.push(c).unwrap();
+        }
+
+        let hop = (((1.0 - overlap) * nfft as f64).round() as usize).max(1);
+        let seen = cfg.segment_count(total);
+        prop_assert_eq!(acc.segments_seen(), seen);
+        let mut a = vec![0.0f64; nfft / 2 + 1];
+        let mut w = 0.0f64;
+        for i in 0..seen {
+            let p = cfg.estimate(&x[i * hop..i * hop + nfft], fs).unwrap();
+            for (ak, pk) in a.iter_mut().zip(p.density()) {
+                *ak = lambda * *ak + pk;
+            }
+            w = lambda * w + 1.0;
+        }
+        let inv = 1.0 / w;
+        let got = acc.finalize().unwrap();
+        prop_assert_eq!(got.len(), a.len());
+        for (g, ak) in got.density().iter().zip(&a) {
+            prop_assert_eq!(g.to_bits(), (ak * inv).to_bits());
         }
     }
 }

@@ -350,7 +350,7 @@ impl SessionBatch {
             return Ok(0.0);
         }
         let dbs: Vec<f64> = self.measurements.iter().map(|m| m.nf.figure.db()).collect();
-        Ok(nfbist_dsp::stats::std_dev(&dbs)?)
+        Ok(nfbist_dsp::stats::sample_variance(&dbs)?.sqrt())
     }
 }
 
@@ -478,6 +478,24 @@ mod tests {
             .unwrap();
         assert!(empty.is_empty());
         assert!(empty.into_measurements().is_empty());
+    }
+
+    #[test]
+    fn nf_spread_of_two_trials_is_their_sample_standard_deviation() {
+        // Two trials a and b: the sample standard deviation is
+        // |a − b|/√2 (the population form would give |a − b|/2).
+        let batch = BatchPlan::sequential()
+            .run_monte_carlo(2, |t| {
+                let mut setup = nfbist_soc::setup::BistSetup::quick(derive_seed(12, t as u64));
+                setup.samples = 1 << 15;
+                MeasurementSession::new(setup)
+            })
+            .unwrap();
+        let [a, b] = [0, 1].map(|t| batch.measurements()[t].nf.figure.db());
+        assert!(a != b, "independent trials must scatter");
+        let want = (a - b).abs() / std::f64::consts::SQRT_2;
+        let got = batch.nf_std_db().unwrap();
+        assert!((got - want).abs() <= 1e-12 * want, "spread {got} vs {want}");
     }
 
     #[test]
