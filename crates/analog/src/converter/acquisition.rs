@@ -132,19 +132,8 @@ pub trait Digitizer: Send + Sync {
     /// Begins one streaming [`Digitizer::acquire`] pass: the returned
     /// [`CaptureStream`] accepts conditioned chunks and yields expanded
     /// estimator samples whose concatenation matches
-    /// `acquire(whole).to_samples()`.
-    ///
-    /// The default implementation buffers the record and acquires at
-    /// finish — correct for every implementor, at whole-record memory
-    /// cost. The comparator cell and the ADC front-end override it with
-    /// `O(chunk)`-memory incremental captures.
-    fn begin_capture<'a>(&'a self) -> Box<dyn CaptureStream + 'a> {
-        Box::new(BufferedCapture {
-            digitizer: self,
-            signal: Vec::new(),
-            reference: Vec::new(),
-        })
-    }
+    /// `acquire(whole).to_samples()`, in `O(chunk)` memory.
+    fn begin_capture<'a>(&'a self) -> Box<dyn CaptureStream + 'a>;
 }
 
 impl<D: Digitizer + ?Sized> Digitizer for Box<D> {
@@ -174,20 +163,15 @@ impl<D: Digitizer + ?Sized> Digitizer for Box<D> {
 }
 
 /// A stateful, chunk-by-chunk view of one [`Digitizer::acquire`] pass:
-/// the front-end half of bounded-memory (streaming) acquisition.
+/// the front-end half of bounded-memory acquisition.
 ///
 /// Obtained from [`Digitizer::begin_capture`]. Conditioned signal
 /// chunks (with their matching reference chunks, for reference-using
 /// front-ends) go in; *expanded estimator samples* — `±1` for a 1-bit
-/// cell, quantized voltages for an ADC — come out, in the same order
-/// and (for this crate's front-ends) with the same bits as
-/// `acquire(whole).to_samples()`, because comparator/converter state
+/// cell, quantized voltages for an ADC — come out as input arrives, in
+/// the same order and (for this crate's front-ends) with the same bits
+/// as `acquire(whole).to_samples()`, because comparator/converter state
 /// evolves sequentially either way.
-///
-/// The default implementation every [`Digitizer`] gets for free
-/// buffers the chunks and runs the batch `acquire` at finish
-/// (correct, whole-record memory); see
-/// [`CaptureStream::is_incremental`].
 pub trait CaptureStream {
     /// Feeds one conditioned chunk and its reference chunk (pass an
     /// equally sized zero chunk when the front-end uses no reference);
@@ -212,50 +196,6 @@ pub trait CaptureStream {
     /// pushed (mirroring [`Digitizer::acquire`] on an empty record) and
     /// propagates converter errors.
     fn finish(&mut self, out: &mut Vec<f64>) -> Result<(), AnalogError>;
-
-    /// `true` when samples are emitted per push with `O(chunk)` memory;
-    /// `false` for the buffered whole-record fallback.
-    fn is_incremental(&self) -> bool {
-        false
-    }
-}
-
-/// The buffered fallback capture: accumulates the record and runs the
-/// batch [`Digitizer::acquire`] once at finish.
-struct BufferedCapture<'a, D: Digitizer + ?Sized> {
-    digitizer: &'a D,
-    signal: Vec<f64>,
-    reference: Vec<f64>,
-}
-
-impl<D: Digitizer + ?Sized> CaptureStream for BufferedCapture<'_, D> {
-    fn push(
-        &mut self,
-        signal: &[f64],
-        reference: &[f64],
-        out: &mut Vec<f64>,
-    ) -> Result<(), AnalogError> {
-        if signal.len() != reference.len() {
-            return Err(AnalogError::LengthMismatch {
-                expected: signal.len(),
-                actual: reference.len(),
-                context: "capture push",
-            });
-        }
-        self.signal.extend_from_slice(signal);
-        self.reference.extend_from_slice(reference);
-        let _ = out;
-        Ok(())
-    }
-
-    fn finish(&mut self, out: &mut Vec<f64>) -> Result<(), AnalogError> {
-        // An empty record errors inside `acquire`, like the batch path.
-        let record = self.digitizer.acquire(&self.signal, &self.reference)?;
-        self.signal = Vec::new();
-        self.reference = Vec::new();
-        out.extend_from_slice(&record.to_samples());
-        Ok(())
-    }
 }
 
 /// Incremental capture for the 1-bit comparator cell: one comparator
@@ -303,10 +243,6 @@ impl CaptureStream for OneBitCapture {
             });
         }
         Ok(())
-    }
-
-    fn is_incremental(&self) -> bool {
-        true
     }
 }
 
@@ -402,15 +338,14 @@ mod capture_tests {
         (signal, reference)
     }
 
-    fn run_capture(d: &dyn Digitizer, s: &[f64], r: &[f64], chunk: usize) -> (Vec<f64>, bool) {
+    fn run_capture(d: &dyn Digitizer, s: &[f64], r: &[f64], chunk: usize) -> Vec<f64> {
         let mut cap = d.begin_capture();
-        let incremental = cap.is_incremental();
         let mut out = Vec::new();
         for (sc, rc) in s.chunks(chunk).zip(r.chunks(chunk)) {
             cap.push(sc, rc, &mut out).unwrap();
         }
         cap.finish(&mut out).unwrap();
-        (out, incremental)
+        out
     }
 
     #[test]
@@ -422,8 +357,7 @@ mod capture_tests {
             OneBitDigitizer::with_comparator(Comparator::ideal().with_hysteresis(0.05).unwrap());
         let batch = d.acquire(&s, &r).unwrap().to_samples();
         for chunk in [1usize, 63, 1_000, 10_000] {
-            let (streamed, incremental) = run_capture(&d, &s, &r, chunk);
-            assert!(incremental);
+            let streamed = run_capture(&d, &s, &r, chunk);
             assert_eq!(streamed, batch, "chunk {chunk}");
         }
     }
@@ -433,7 +367,7 @@ mod capture_tests {
         let (s, r) = signals(1_000);
         let d = OneBitDigitizer::ideal().with_decimation(3).unwrap();
         let batch = d.acquire(&s, &r).unwrap().to_samples();
-        let (streamed, _) = run_capture(&d, &s, &r, 7);
+        let streamed = run_capture(&d, &s, &r, 7);
         assert_eq!(streamed, batch);
     }
 
@@ -444,8 +378,7 @@ mod capture_tests {
         let d = AdcDigitizer::new(12).unwrap();
         let batch = d.acquire(&s, &zeros).unwrap().to_samples();
         for chunk in [97usize, 2_048, 5_000] {
-            let (streamed, incremental) = run_capture(&d, &s, &zeros, chunk);
-            assert!(incremental);
+            let streamed = run_capture(&d, &s, &zeros, chunk);
             assert_eq!(streamed, batch, "chunk {chunk}");
         }
     }
@@ -458,34 +391,5 @@ mod capture_tests {
         assert!(cap.push(&[1.0], &[0.0, 0.0], &mut out).is_err(), "mismatch");
         let mut cap = d.begin_capture();
         assert!(cap.finish(&mut out).is_err(), "empty capture");
-        // The buffered fallback validates per push too.
-        struct Opaque;
-        impl Digitizer for Opaque {
-            fn label(&self) -> String {
-                "opaque".into()
-            }
-            fn bits_per_sample(&self) -> u32 {
-                8
-            }
-            fn uses_reference(&self) -> bool {
-                false
-            }
-            fn frontend_gain(&self, _h: f64, _p: f64) -> Result<f64, AnalogError> {
-                Ok(1.0)
-            }
-            fn acquire(&self, signal: &[f64], _r: &[f64]) -> Result<Record, AnalogError> {
-                if signal.is_empty() {
-                    return Err(AnalogError::EmptyInput { context: "acquire" });
-                }
-                Ok(Record::Samples(signal.to_vec()))
-            }
-        }
-        let mut cap = Opaque.begin_capture();
-        assert!(!cap.is_incremental());
-        assert!(cap.push(&[1.0], &[], &mut out).is_err());
-        cap.push(&[1.0, 2.0], &[0.0, 0.0], &mut out).unwrap();
-        assert!(out.is_empty());
-        cap.finish(&mut out).unwrap();
-        assert_eq!(out, vec![1.0, 2.0]);
     }
 }

@@ -46,10 +46,6 @@ impl CaptureStream for AdcCapture {
         }
         Ok(())
     }
-
-    fn is_incremental(&self) -> bool {
-        true
-    }
 }
 
 /// The ADC + analog-mux front-end (paper Fig. 4).

@@ -18,28 +18,17 @@ use crate::units::{Kelvin, Ohms};
 use crate::AnalogError;
 
 /// A stateful, chunk-by-chunk view of one [`Dut::process`] pass: the
-/// backbone of bounded-memory (streaming) acquisition.
+/// backbone of bounded-memory acquisition.
 ///
 /// Obtained from [`Dut::process_stream`]. Input chunks go in through
-/// [`DutStream::push`]; output samples come back out in the same
-/// order — and, for every stream this crate ships, with the **same
-/// bits** — as one whole-record [`Dut::process`] call, because the
-/// underlying noise synthesis and filter state evolve sequentially
-/// either way.
-///
-/// Implementations fall into two classes, distinguished by
-/// [`DutStream::is_incremental`]:
-///
-/// * *incremental* — output is emitted as input arrives, memory stays
-///   `O(chunk)` (the amplifier circuits, behavioural blocks, and
-///   chains of those);
-/// * *buffered* — the default fallback every [`Dut`] gets for free: it
-///   collects the input and runs the batch `process` at
-///   [`DutStream::finish`]. Correct for any circuit, but memory grows
-///   with the record — streaming sessions report which class they got.
+/// [`DutStream::push`]; output samples come back out as input arrives,
+/// in `O(chunk)` memory, in the same order — and, for every stream
+/// this crate ships, with the **same bits** — as one whole-record
+/// [`Dut::process`] call, because the underlying noise synthesis and
+/// filter state evolve sequentially either way.
 pub trait DutStream {
     /// Feeds one input chunk; appends whatever output samples become
-    /// available to `out` (possibly none, for a buffered stream).
+    /// available to `out`.
     ///
     /// # Errors
     ///
@@ -54,41 +43,6 @@ pub trait DutStream {
     /// pushed (mirroring [`Dut::process`] on an empty record) and
     /// propagates model errors.
     fn finish(&mut self, out: &mut Vec<f64>) -> Result<(), AnalogError>;
-
-    /// `true` when output is emitted per push with `O(chunk)` memory;
-    /// `false` for the buffered whole-record fallback.
-    fn is_incremental(&self) -> bool {
-        false
-    }
-}
-
-/// The buffered fallback stream: collects every chunk and runs the
-/// batch [`Dut::process`] once at finish. Correct (bit-identical to the
-/// batch path by construction) for any circuit, at whole-record memory
-/// cost.
-struct BufferedDutStream<'a, D: Dut + ?Sized> {
-    dut: &'a D,
-    rs: Ohms,
-    sample_rate: f64,
-    seed: u64,
-    input: Vec<f64>,
-}
-
-impl<D: Dut + ?Sized> DutStream for BufferedDutStream<'_, D> {
-    fn push(&mut self, input: &[f64], _out: &mut Vec<f64>) -> Result<(), AnalogError> {
-        self.input.extend_from_slice(input);
-        Ok(())
-    }
-
-    fn finish(&mut self, out: &mut Vec<f64>) -> Result<(), AnalogError> {
-        // An empty record errors inside `process`, like the batch path.
-        let processed = self
-            .dut
-            .process(&self.input, self.rs, self.sample_rate, self.seed)?;
-        self.input = Vec::new();
-        out.extend_from_slice(&processed);
-        Ok(())
-    }
 }
 
 /// Incremental stream for the noisy amplifier circuits: per-chunk
@@ -121,10 +75,6 @@ impl DutStream for NoisyGainStream {
         }
         Ok(())
     }
-
-    fn is_incremental(&self) -> bool {
-        true
-    }
 }
 
 /// Incremental stream for behavioural [`Block`] stages (ideal
@@ -152,10 +102,6 @@ impl<B: Block> DutStream for BlockDutStream<B> {
             });
         }
         Ok(())
-    }
-
-    fn is_incremental(&self) -> bool {
-        true
     }
 }
 
@@ -223,10 +169,6 @@ impl DutStream for ChainStream<'_> {
             }
         }
         Ok(())
-    }
-
-    fn is_incremental(&self) -> bool {
-        self.stages.iter().all(|s| s.is_incremental())
     }
 }
 
@@ -329,13 +271,7 @@ pub trait Dut: Send + Sync {
     /// Begins one streaming [`Dut::process`] pass: the returned
     /// [`DutStream`] accepts input chunks and yields output chunks
     /// whose concatenation matches a single whole-record `process`
-    /// call with the same arguments.
-    ///
-    /// The default implementation buffers the input and runs the batch
-    /// `process` at finish — correct for **every** implementor, at
-    /// whole-record memory cost. Circuits whose synthesis is
-    /// sequential (all of this crate's) override it with a bounded
-    /// `O(chunk)`-memory stream; see [`DutStream::is_incremental`].
+    /// call with the same arguments, in `O(chunk)` memory.
     ///
     /// # Errors
     ///
@@ -346,15 +282,7 @@ pub trait Dut: Send + Sync {
         rs: Ohms,
         sample_rate: f64,
         seed: u64,
-    ) -> Result<Box<dyn DutStream + 'a>, AnalogError> {
-        Ok(Box::new(BufferedDutStream {
-            dut: self,
-            rs,
-            sample_rate,
-            seed,
-            input: Vec::new(),
-        }))
-    }
+    ) -> Result<Box<dyn DutStream + 'a>, AnalogError>;
 }
 
 impl<D: Dut + ?Sized> Dut for Box<D> {
@@ -950,16 +878,15 @@ mod stream_tests {
         w.generate(n)
     }
 
-    fn run_stream(dut: &dyn Dut, input: &[f64], chunk: usize) -> (Vec<f64>, bool) {
+    fn run_stream(dut: &dyn Dut, input: &[f64], chunk: usize) -> Vec<f64> {
         let rs = Ohms::new(2_000.0);
         let mut stream = dut.process_stream(rs, 2e4, 99).unwrap();
-        let incremental = stream.is_incremental();
         let mut out = Vec::new();
         for c in input.chunks(chunk) {
             stream.push(c, &mut out).unwrap();
         }
         stream.finish(&mut out).unwrap();
-        (out, incremental)
+        out
     }
 
     #[test]
@@ -968,8 +895,7 @@ mod stream_tests {
         let input = noise_input(10_000, 5);
         let batch = Dut::process(&dut, &input, Ohms::new(2_000.0), 2e4, 99).unwrap();
         for chunk in [1usize, 777, 4_096, 10_000] {
-            let (streamed, incremental) = run_stream(&dut, &input, chunk);
-            assert!(incremental, "amplifier stream must be incremental");
+            let streamed = run_stream(&dut, &input, chunk);
             assert_eq!(streamed, batch, "chunk {chunk}");
         }
     }
@@ -992,8 +918,7 @@ mod stream_tests {
         ];
         for dut in &duts {
             let batch = dut.process(&input, rs, 2e4, 99).unwrap();
-            let (streamed, incremental) = run_stream(dut.as_ref(), &input, 311);
-            assert!(incremental, "{}", dut.label());
+            let streamed = run_stream(dut.as_ref(), &input, 311);
             assert_eq!(streamed, batch, "{}", dut.label());
         }
     }
@@ -1007,61 +932,9 @@ mod stream_tests {
         let input = noise_input(4_096, 11);
         let batch = chain.process(&input, Ohms::new(2_000.0), 2e4, 99).unwrap();
         for chunk in [63usize, 1_000, 4_096] {
-            let (streamed, incremental) = run_stream(&chain, &input, chunk);
-            assert!(incremental, "all-incremental chain");
+            let streamed = run_stream(&chain, &input, chunk);
             assert_eq!(streamed, batch, "chunk {chunk}");
         }
-    }
-
-    #[test]
-    fn buffered_fallback_is_correct_for_unknown_duts() {
-        /// A DUT with only the batch entry point implemented.
-        struct Opaque;
-        impl Dut for Opaque {
-            fn label(&self) -> String {
-                "opaque".into()
-            }
-            fn gain(&self) -> f64 {
-                1.0
-            }
-            fn added_noise_density_sq(&self, _rs: Ohms, _f: f64) -> f64 {
-                0.0
-            }
-            fn mean_added_noise_density_sq(
-                &self,
-                _rs: Ohms,
-                _f_lo: f64,
-                _f_hi: f64,
-            ) -> Result<f64, AnalogError> {
-                Ok(0.0)
-            }
-            fn process(
-                &self,
-                input: &[f64],
-                _rs: Ohms,
-                _sample_rate: f64,
-                _seed: u64,
-            ) -> Result<Vec<f64>, AnalogError> {
-                if input.is_empty() {
-                    return Err(AnalogError::EmptyInput { context: "process" });
-                }
-                // Deliberately non-causal: output depends on the whole
-                // record, so only the buffered fallback can be right.
-                let mean = input.iter().sum::<f64>() / input.len() as f64;
-                Ok(input.iter().map(|v| v - mean).collect())
-            }
-        }
-        let input = noise_input(1_000, 3);
-        let batch = Opaque.process(&input, Ohms::new(1.0), 1e4, 0).unwrap();
-        let mut stream = Opaque.process_stream(Ohms::new(1.0), 1e4, 0).unwrap();
-        assert!(!stream.is_incremental(), "fallback is buffered");
-        let mut out = Vec::new();
-        for c in input.chunks(97) {
-            stream.push(c, &mut out).unwrap();
-        }
-        assert!(out.is_empty(), "buffered stream emits only at finish");
-        stream.finish(&mut out).unwrap();
-        assert_eq!(out, batch);
     }
 
     #[test]

@@ -628,10 +628,6 @@ impl DutStream for FaultyDutStream<'_> {
         self.inner.finish(&mut self.produced)?;
         self.apply_stages(out)
     }
-
-    fn is_incremental(&self) -> bool {
-        self.inner.is_incremental()
-    }
 }
 
 /// The time profile of a drifting defect's severity: 0 (healthy) to 1
@@ -1251,10 +1247,6 @@ impl<D: Dut> DutStream for DriftingDutStream<'_, D> {
         self.inner.finish(&mut self.produced)?;
         self.apply_stages(out)
     }
-
-    fn is_incremental(&self) -> bool {
-        self.inner.is_incremental()
-    }
 }
 
 /// A digital defect on the stored 1-bit stream, applied by
@@ -1586,10 +1578,6 @@ impl CaptureStream for FaultyCapture<'_> {
         self.inner.finish(&mut self.produced)?;
         self.apply_stages(out);
         Ok(())
-    }
-
-    fn is_incremental(&self) -> bool {
-        self.inner.is_incremental()
     }
 }
 
@@ -1965,7 +1953,6 @@ mod tests {
         let batch = dut.process(&input, rs, fs, seed).unwrap();
         for chunk_len in [1usize, 997, 4_096] {
             let mut stream = dut.process_stream(rs, fs, seed).unwrap();
-            assert!(stream.is_incremental(), "faulted stream stays incremental");
             let mut out = Vec::new();
             for chunk in input.chunks(chunk_len) {
                 stream.push(chunk, &mut out).unwrap();
@@ -2105,7 +2092,6 @@ mod tests {
         let batch = dut.process(&input, rs, fs, seed).unwrap();
         for chunk_len in [1usize, 997, 4_096] {
             let mut stream = dut.process_stream(rs, fs, seed).unwrap();
-            assert!(stream.is_incremental());
             let mut out = Vec::new();
             for chunk in input.chunks(chunk_len) {
                 stream.push(chunk, &mut out).unwrap();
@@ -2167,7 +2153,6 @@ mod tests {
         let batch = d.acquire(&signal, &reference).unwrap().to_samples();
         for chunk_len in [1usize, 333, 2_048] {
             let mut capture = d.begin_capture();
-            assert!(capture.is_incremental());
             let mut out = Vec::new();
             for (s, r) in signal.chunks(chunk_len).zip(reference.chunks(chunk_len)) {
                 capture.push(s, r, &mut out).unwrap();

@@ -15,7 +15,7 @@
 use nfbist_analog::circuits::NonInvertingAmplifier;
 use nfbist_analog::opamp::OpampModel;
 use nfbist_analog::units::Ohms;
-use nfbist_bench::{quick_flag, streaming_flag, workers_flag};
+use nfbist_bench::{quick_flag, workers_flag};
 use nfbist_core::uncertainty::nf_std_from_record_length;
 use nfbist_runtime::BatchPlan;
 use nfbist_soc::report::Table;
@@ -25,11 +25,6 @@ use nfbist_soc::setup::BistSetup;
 fn main() {
     let quick = quick_flag();
     let workers = workers_flag();
-    let streaming = streaming_flag();
-    // Well under every record footprint below (2^15 × 8 B = 256 KiB is
-    // the smallest), so `--streaming` always exercises the chunked
-    // acquisition pipeline.
-    let budget = 64 * 1024;
     let trials = if quick { 5 } else { 12 };
     let lengths: &[usize] = if quick {
         &[1 << 15, 1 << 17]
@@ -38,13 +33,8 @@ fn main() {
     };
 
     println!(
-        "Monte-Carlo repeatability of the BIST NF measurement (TL081 prototype, {trials} trials per point, {workers} worker{}{})\n",
+        "Monte-Carlo repeatability of the BIST NF measurement (TL081 prototype, {trials} trials per point, {workers} worker{})\n",
         if workers == 1 { "" } else { "s" },
-        if streaming {
-            ", streaming acquisition (64 KiB budget)"
-        } else {
-            ""
-        }
     );
     let plan = BatchPlan::new().workers(workers);
     let mut table = Table::new(vec![
@@ -67,32 +57,14 @@ fn main() {
         // Effective independent samples: 2·B·T over the configured
         // noise band.
         let n_eff = setup.effective_samples();
-        let mut session = MeasurementSession::new(setup)
+        let session = MeasurementSession::new(setup)
             .expect("session")
             .dut(dut)
             .repeats(trials);
-        if streaming {
-            session = session.memory_budget(budget);
-            assert!(
-                session.streaming_active(),
-                "streaming smoke must actually exceed the budget"
-            );
-        }
         // The batch engine fans the `trials` repeats across workers;
-        // the recombined measurement is bit-identical to the old
-        // sequential `session.run()` — in streaming mode too, where
-        // each worker additionally stays inside the memory budget.
+        // the recombined measurement is bit-identical to the
+        // sequential `session.run()`.
         let m = plan.run_session(&session).expect("measurement");
-        if streaming && n == lengths[0] {
-            // Self-check at the cheapest point: the streaming result
-            // must be bit-identical to the batch path.
-            let batch = session.run_batch_reference().expect("batch reference");
-            assert_eq!(
-                m.nf.y.to_bits(),
-                batch.nf.y.to_bits(),
-                "streaming and batch measurements diverged"
-            );
-        }
         let predicted =
             nf_std_from_record_length(m.nf.factor, 2_900.0, 290.0, n_eff).expect("prediction");
         table.row(vec![

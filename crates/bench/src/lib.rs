@@ -179,14 +179,6 @@ pub fn quick_flag() -> bool {
     std::env::args().any(|a| a == "--quick")
 }
 
-/// `true` when `--streaming` was passed: experiment binaries that
-/// support it then run their sessions in chunked (bounded-memory)
-/// streaming mode — output is bit-identical to the batch mode by
-/// construction, only the memory profile changes.
-pub fn streaming_flag() -> bool {
-    std::env::args().any(|a| a == "--streaming")
-}
-
 /// `true` when `--adaptive` was passed: experiment binaries that
 /// support it then additionally run their screening flows under the
 /// sequential (early-stopping) decision engine and report the
@@ -305,7 +297,7 @@ mod tests {
 
     #[test]
     fn runtime_flags_fall_back_to_the_machine_and_the_environment() {
-        assert!(!quick_flag() && !streaming_flag() && !adaptive_flag());
+        assert!(!quick_flag() && !adaptive_flag());
         assert_eq!(
             workers_flag(),
             nfbist_runtime::WorkQueue::with_available_parallelism().workers()

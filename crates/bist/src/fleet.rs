@@ -222,7 +222,6 @@ pub struct LotScreen {
     universe: FaultUniverse,
     retest: RetestPolicy,
     repeats: usize,
-    session_budget: Option<usize>,
     streaming_chunk: Option<usize>,
     adaptive: Option<SequentialScreen>,
     build_dut: DutBuilder,
@@ -237,7 +236,6 @@ impl std::fmt::Debug for LotScreen {
             .field("variants", &self.universe.len())
             .field("retest", &self.retest)
             .field("repeats", &self.repeats)
-            .field("session_budget", &self.session_budget)
             .field("streaming_chunk", &self.streaming_chunk)
             .field("adaptive", &self.adaptive)
             .finish()
@@ -252,8 +250,8 @@ impl LotScreen {
     /// design and is never assigned as a defect).
     ///
     /// Defaults: no retest escalation ([`RetestPolicy::single`]),
-    /// 1 repeat, unbudgeted sessions, the paper's TL081 non-inverting
-    /// prototype as the healthy DUT.
+    /// 1 repeat, the paper's TL081 non-inverting prototype as the
+    /// healthy DUT.
     ///
     /// # Errors
     ///
@@ -281,7 +279,6 @@ impl LotScreen {
             universe,
             retest: RetestPolicy::single(),
             repeats: 1,
-            session_budget: None,
             streaming_chunk: None,
             adaptive: None,
             build_dut: Box::new(|| {
@@ -307,17 +304,8 @@ impl LotScreen {
         self
     }
 
-    /// Caps every die session at `bytes` of acquisition memory — the
-    /// per-die half of the fleet's bounded-RSS story (sessions above
-    /// the cap stream in chunks, bit-identically). The scheduler's
-    /// admission gate is the other half.
-    pub fn session_budget(mut self, bytes: usize) -> Self {
-        self.session_budget = Some(bytes);
-        self
-    }
-
     /// Pins every die session's streaming chunk to `samples` (instead
-    /// of deriving it from the memory budget). Chunking affects peak
+    /// of the session default). Chunking affects peak
     /// memory and scheduling granularity only — die outcomes are
     /// bit-identical for every chunk size, which the adaptive
     /// determinism suite pins down.
@@ -395,19 +383,17 @@ impl LotScreen {
         &self.universe
     }
 
-    /// An upper bound on one die job's transient memory, in bytes —
-    /// the admission cost a scheduler's global memory gate charges per
-    /// in-flight die.
+    /// The admission cost of one die job, in bytes — the unit a
+    /// scheduler's global memory gate charges per in-flight die: four
+    /// times the final escalation round's record at 8 bytes per
+    /// sample.
     ///
-    /// With a session budget set this is the budget itself (the
-    /// streaming pipeline caps every round's acquisition); otherwise
-    /// it is the final escalation round's record at 8 bytes per
-    /// sample, times the ~4 record-sized buffers a round holds at its
-    /// peak (noise, reference, hot and cold acquisitions).
+    /// Every round streams its record through fixed-size chunks, so
+    /// the charge is a scale for the gate, not a measure of a die's
+    /// buffers; it grows with the record so that a gate budget written
+    /// in die costs admits fewer dies as escalation lengthens their
+    /// records.
     pub fn die_cost_bytes(&self) -> usize {
-        if let Some(budget) = self.session_budget {
-            return budget.max(1);
-        }
         // Adaptive acquisition never escalates past the setup's record
         // length: the cap itself is the worst case.
         let worst_samples = if self.adaptive.is_some() {
@@ -490,9 +476,6 @@ impl LotScreen {
             recipe = recipe
                 .analog_faults(variant.analog_faults().iter().copied())?
                 .bit_faults(variant.bit_faults().iter().copied())?;
-        }
-        if let Some(budget) = self.session_budget {
-            recipe = recipe.memory_budget(budget);
         }
         if let Some(chunk) = self.streaming_chunk {
             recipe = recipe.streaming_chunk(chunk);
@@ -1068,11 +1051,6 @@ mod tests {
         .unwrap()
         .retest(RetestPolicy::new(3, 4).unwrap());
         assert_eq!(escalated.die_cost_bytes(), base * 16);
-        // …and collapses to the budget when sessions are budgeted.
-        assert_eq!(
-            escalated.session_budget(64 * 1024).die_cost_bytes(),
-            64 * 1024
-        );
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! stage is chunk-invariant, emissions happen at absolute sample
 //! offsets, and the CUSUM recursion is plain `f64` arithmetic — so the
 //! identical bits come out for any streaming chunk size, any worker
-//! count in the fleet fan-out, and any memory budget. The
+//! count in the fleet fan-out, and any fleet memory budget. The
 //! `monitor_determinism` integration tests pin this down with
 //! `f64::to_bits` equality.
 //!
@@ -296,14 +296,6 @@ impl MonitorSession {
         self
     }
 
-    /// Caps the pipeline's transient memory; see
-    /// [`MeasurementSession::memory_budget`]. The monitor always runs
-    /// the chunked pipeline — the budget only sizes the chunk.
-    pub fn memory_budget(mut self, bytes: usize) -> Self {
-        self.session = self.session.memory_budget(bytes);
-        self
-    }
-
     /// Overrides the streaming chunk length in samples (a test hook
     /// for proving chunk-size invariance).
     pub fn streaming_chunk_len(mut self, samples: usize) -> Self {
@@ -452,8 +444,8 @@ impl MonitorSession {
     ///
     /// The timeline is a pure function of `(seed, DUT drift profile,
     /// window/detector config)` — bit-identical across streaming chunk
-    /// sizes and memory budgets, which is what makes fleet-level
-    /// fan-out free of scheduling artifacts.
+    /// sizes, which is what makes fleet-level fan-out free of
+    /// scheduling artifacts.
     ///
     /// # Errors
     ///
@@ -635,12 +627,12 @@ mod tests {
     }
 
     #[test]
-    fn timeline_is_bit_identical_across_chunk_sizes_and_budgets() {
+    fn timeline_is_bit_identical_across_chunk_sizes() {
         let reference = psd_monitor(9).run().unwrap();
         for session in [
             psd_monitor(9).streaming_chunk_len(997),
-            psd_monitor(9).streaming_chunk_len(4_096),
-            psd_monitor(9).memory_budget(1 << 16),
+            psd_monitor(9).streaming_chunk_len(usize::MAX),
+            psd_monitor(9).streaming_chunk_len(1_024),
         ] {
             let other = session.run().unwrap();
             assert_eq!(other.alarm_signature(), reference.alarm_signature());

@@ -571,7 +571,7 @@ impl SequentialOutcome {
 /// checkpoint sits at [`SequentialScreen::min_samples`] (raised to the
 /// FFT length). The stopping decision — like everything downstream of
 /// it — is a pure function of `(setup seed, recipe)`: independent of
-/// worker scheduling, memory budgets and streaming chunk sizes, which
+/// worker scheduling and streaming chunk sizes, which
 /// is what lets a fleet fan adaptive screens out bit-identically.
 ///
 /// The reported `nf_db` comes from the **flushed** estimate at the
@@ -880,14 +880,14 @@ fn checkpoint_decision(
 }
 
 /// A reusable per-DUT screening configuration: which healthy design to
-/// build, which faults to compose onto it, how many repeats to
-/// average, and an optional per-session memory budget.
+/// build, which faults to compose onto it, and how many repeats to
+/// average.
 ///
 /// [`screen_with_retest`] needs its session rebuilt from scratch every
 /// round (a session's record length is fixed at construction), so
 /// every call-site used to re-implement the same closure: build the
 /// healthy DUT, wrap it in [`FaultyDut`], wrap the ideal comparator in
-/// [`FaultyDigitizer`], set repeats, maybe set a budget. A recipe
+/// [`FaultyDigitizer`], set repeats. A recipe
 /// captures that dance once; [`ScreeningRecipe::screen`] runs the full
 /// retest flow and [`ScreeningRecipe::screen_indexed`] additionally
 /// derives the per-DUT seed from an index — the seed-stable form a
@@ -921,7 +921,6 @@ pub struct ScreeningRecipe<'a> {
     analog: Vec<AnalogFault>,
     bit: Vec<BitFault>,
     repeats: usize,
-    memory_budget: Option<usize>,
     streaming_chunk: Option<usize>,
 }
 
@@ -932,7 +931,6 @@ impl std::fmt::Debug for ScreeningRecipe<'_> {
             .field("analog", &self.analog)
             .field("bit", &self.bit)
             .field("repeats", &self.repeats)
-            .field("memory_budget", &self.memory_budget)
             .field("streaming_chunk", &self.streaming_chunk)
             .finish()
     }
@@ -946,14 +944,13 @@ impl Default for ScreeningRecipe<'_> {
 
 impl<'a> ScreeningRecipe<'a> {
     /// A fault-free recipe around the paper's TL081 non-inverting
-    /// prototype, 1 repeat, unbudgeted.
+    /// prototype, 1 repeat.
     pub fn new() -> Self {
         ScreeningRecipe {
             build_dut: None,
             analog: Vec::new(),
             bit: Vec::new(),
             repeats: 1,
-            memory_budget: None,
             streaming_chunk: None,
         }
     }
@@ -1028,15 +1025,6 @@ impl<'a> ScreeningRecipe<'a> {
         self
     }
 
-    /// Caps each round's session at `bytes` of acquisition memory —
-    /// rounds whose records exceed it run the streaming pipeline,
-    /// bit-identical to batch (so a budget never changes a verdict,
-    /// only peak RSS).
-    pub fn memory_budget(mut self, bytes: usize) -> Self {
-        self.memory_budget = Some(bytes);
-        self
-    }
-
     /// Overrides the streaming pipeline's chunk length (in samples) —
     /// a determinism-test hook: estimates and stopping decisions are
     /// invariant under it, so varying it must never change an outcome
@@ -1048,7 +1036,7 @@ impl<'a> ScreeningRecipe<'a> {
 
     /// Builds one measurement round's session from the recipe: healthy
     /// DUT → [`FaultyDut`] → [`FaultyDigitizer`] over the ideal
-    /// comparator → repeats → optional budget.
+    /// comparator → repeats → optional chunk override.
     ///
     /// # Errors
     ///
@@ -1069,9 +1057,6 @@ impl<'a> ScreeningRecipe<'a> {
             .dut(dut)
             .digitizer(digitizer)
             .repeats(self.repeats);
-        if let Some(budget) = self.memory_budget {
-            session = session.memory_budget(budget);
-        }
         if let Some(chunk) = self.streaming_chunk {
             session = session.streaming_chunk_len(chunk);
         }
@@ -1249,12 +1234,11 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_retest_growth_is_bitwise_identical_to_unbudgeted() {
-        // The documented payoff of streaming mode: retest escalation
-        // grows the record 4× per round, but a memory-budgeted builder
-        // keeps every round's allocation bounded — and the screening
+    fn retest_growth_is_bitwise_identical_across_chunk_sizes() {
+        // Retest escalation grows the record 4× per round while every
+        // round streams through fixed-size chunks — and the screening
         // outcome (NF per round, verdicts, sample counts) is
-        // bit-identical to the unbudgeted flow.
+        // bit-identical for any chunk size.
         let mut setup = BistSetup::quick(31);
         setup.samples = 1 << 13;
         setup.nfft = 1_024;
@@ -1267,17 +1251,11 @@ mod tests {
         let screen = Screen::new(probe.nf.figure.db(), 3.0).unwrap();
         let policy = RetestPolicy::new(3, 4).unwrap();
         let plain = screen_with_retest(&screen, &setup, &policy, MeasurementSession::new).unwrap();
-        let budget = 16 * 1024; // well under round 1's 64 KiB record
-        let budgeted = screen_with_retest(&screen, &setup, &policy, |round_setup| {
-            let session = MeasurementSession::new(round_setup)?.memory_budget(budget);
-            assert!(
-                session.streaming_active(),
-                "every round must exceed the budget and stream"
-            );
-            Ok(session)
+        let chunked = screen_with_retest(&screen, &setup, &policy, |round_setup| {
+            Ok(MeasurementSession::new(round_setup)?.streaming_chunk_len(1_024))
         })
         .unwrap();
-        assert_eq!(plain, budgeted, "ScreeningOutcome must match bitwise");
+        assert_eq!(plain, chunked, "ScreeningOutcome must match bitwise");
         assert!(plain.retests() >= 1, "the probe-limit setup must escalate");
     }
 
@@ -1348,7 +1326,7 @@ mod tests {
     }
 
     #[test]
-    fn recipe_validation_budget_and_indexing() {
+    fn recipe_validation_chunking_and_indexing() {
         // Out-of-domain faults are rejected at recipe-build time.
         assert!(ScreeningRecipe::new()
             .analog_fault(AnalogFault::ExcessNoise { factor: 0.5 })
@@ -1367,13 +1345,11 @@ mod tests {
         let screen = Screen::new(12.0, 3.0).unwrap();
         let policy = RetestPolicy::single();
         let recipe = ScreeningRecipe::new().repeats(0); // clamps to 1
-                                                        // A budget small enough to force streaming changes nothing.
-        let budgeted = ScreeningRecipe::new().memory_budget(16 * 1024);
-        assert!(budgeted.session(setup.clone()).unwrap().streaming_active());
+        let chunked = ScreeningRecipe::new().streaming_chunk(1_024);
         assert_eq!(
             recipe.screen(&screen, &setup, &policy).unwrap(),
-            budgeted.screen(&screen, &setup, &policy).unwrap(),
-            "a memory budget must never change a screening outcome"
+            chunked.screen(&screen, &setup, &policy).unwrap(),
+            "a chunk size must never change a screening outcome"
         );
         // Indexed screening derives the documented seed.
         let direct = {
@@ -1573,7 +1549,7 @@ mod tests {
     }
 
     #[test]
-    fn sequential_outcome_is_invariant_under_budget_and_chunking() {
+    fn sequential_outcome_is_invariant_under_chunking() {
         let mut setup = BistSetup::quick(43);
         setup.samples = 1 << 14;
         setup.nfft = 1_024;
@@ -1582,11 +1558,8 @@ mod tests {
             .min_samples(1 << 12);
         let recipe = ScreeningRecipe::new().repeats(2);
         let reference = recipe.screen_sequential_indexed(&seq, &setup, 3).unwrap();
-        for (budget, chunk) in [(1usize, 1_000usize), (16 * 1024, 1_025), (1, 7_777)] {
-            let varied = ScreeningRecipe::new()
-                .repeats(2)
-                .memory_budget(budget)
-                .streaming_chunk(chunk);
+        for chunk in [1_000usize, 1_025, 7_777] {
+            let varied = ScreeningRecipe::new().repeats(2).streaming_chunk(chunk);
             let outcome = varied.screen_sequential_indexed(&seq, &setup, 3).unwrap();
             assert_eq!(outcome.verdict, reference.verdict);
             assert_eq!(outcome.samples, reference.samples);
@@ -1594,7 +1567,7 @@ mod tests {
             assert_eq!(
                 outcome.nf_db.to_bits(),
                 reference.nf_db.to_bits(),
-                "budget {budget}, chunk {chunk}"
+                "chunk {chunk}"
             );
         }
     }

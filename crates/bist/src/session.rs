@@ -19,7 +19,10 @@
 //! A session always runs the same flow per acquisition: calibrated
 //! hot/cold source → DUT (adding its own synthesized noise) →
 //! front-end conditioning gain → digitizer → estimator → Y-factor
-//! equations, with optional repeated acquisitions for averaging.
+//! equations, with optional repeated acquisitions for averaging. The
+//! flow is one chunked acquisition chain per source state, which
+//! streams a fixed-size chunk at a time into the estimator's
+//! accumulator, so no record is ever held whole.
 
 use crate::resources::{digitizer_usage, ResourceUsage};
 use crate::setup::BistSetup;
@@ -86,6 +89,17 @@ pub struct RepeatMeasurement {
     pub nf: Option<NfMeasurement>,
     /// The estimator's full report for this repeat.
     pub ratio: RatioEstimate,
+}
+
+impl RepeatMeasurement {
+    /// Wraps one repeat's ratio with its noise figure. A single noisy
+    /// repeat may estimate Y ≤ 1 (degenerate on its own) yet still
+    /// contribute to a valid mean, so the per-repeat NF is optional
+    /// rather than an abort.
+    fn new(ratio: RatioEstimate, hot_kelvin: f64, cold_kelvin: f64) -> Self {
+        let nf = NfMeasurement::from_y(ratio.ratio, hot_kelvin, cold_kelvin).ok();
+        RepeatMeasurement { nf, ratio }
+    }
 }
 
 /// The unified measurement report a [`MeasurementSession`] returns.
@@ -200,7 +214,6 @@ pub struct MeasurementSession {
     digitizer: Box<dyn Digitizer>,
     estimator: Box<dyn PowerRatioEstimator>,
     repeats: usize,
-    memory_budget: Option<usize>,
     streaming_chunk: Option<usize>,
 }
 
@@ -212,16 +225,16 @@ impl std::fmt::Debug for MeasurementSession {
             .field("digitizer", &self.digitizer.label())
             .field("estimator", &self.estimator.label())
             .field("repeats", &self.repeats)
-            .field("memory_budget", &self.memory_budget)
+            .field("streaming_chunk", &self.streaming_chunk)
             .finish()
     }
 }
 
-/// How many chunk-sized float buffers the streaming acquisition
-/// pipeline keeps alive at once (source chunk, DUT output, reference
-/// chunk, captured samples, plus per-stage slack) — the divisor that
-/// turns a memory budget into a chunk length.
-const STREAMING_PIPELINE_BUFFERS: usize = 8;
+/// The chunk length, in samples, every acquisition chain streams at
+/// unless [`MeasurementSession::streaming_chunk_len`] overrides it. A
+/// chain's per-chunk buffers then stay at a few tens of KiB for any
+/// record length, and the per-chunk overhead is negligible.
+const STREAMING_CHUNK_SAMPLES: usize = 4_096;
 
 impl MeasurementSession {
     /// Starts a session from a validated setup, with the paper's
@@ -251,7 +264,6 @@ impl MeasurementSession {
             digitizer: Box::new(OneBitDigitizer::ideal()),
             estimator: Box::new(estimator),
             repeats: 1,
-            memory_budget: None,
             streaming_chunk: None,
         })
     }
@@ -287,71 +299,21 @@ impl MeasurementSession {
         self
     }
 
-    /// Caps the session's transient acquisition memory at `bytes`.
-    ///
-    /// When the batch record footprint (`samples × 8` bytes of expanded
-    /// estimator samples per acquisition) would exceed the budget, the
-    /// session switches to **streaming mode**: the whole source → DUT →
-    /// conditioning → digitizer → estimator pipeline runs chunk by chunk
-    /// and no buffer ever holds the full record. The result is bit-identical to the
-    /// batch run — only the memory profile changes. Record length then
-    /// costs time, not RAM, which is exactly the paper's
-    /// accuracy-for-test-time trade: retest escalation can keep growing
-    /// the acquisition without growing allocation.
-    ///
-    /// The budget sizes the streaming chunk
-    /// ([`MeasurementSession::streaming_chunk_samples`]), whose floor
-    /// of 1024 samples puts a practical lower bound of roughly 64 KiB
-    /// (8 pipeline buffers × 1024 samples × 8 bytes) on the transient
-    /// working set — budgets below that still stream, with the
-    /// smallest chunk, but cannot shrink the buffers further. Add the
-    /// Welch plan (`O(nfft)`) on top. The budget is a sizing target
-    /// for the chunked pipeline, not a hard allocator cap.
-    ///
-    /// With no budget (the default) the session always materializes
-    /// records, as before.
-    pub fn memory_budget(mut self, bytes: usize) -> Self {
-        self.memory_budget = Some(bytes);
-        self
-    }
-
-    /// Overrides the derived streaming chunk length (in samples) —
-    /// chiefly a test hook for proving chunk-size invariance; values
-    /// are clamped to `[1, samples]`.
+    /// Overrides the chunk length (in samples) the acquisition chains
+    /// stream at — chiefly a test hook for proving chunk-size
+    /// invariance; values are clamped to `[1, samples]`.
     pub fn streaming_chunk_len(mut self, samples: usize) -> Self {
         self.streaming_chunk = Some(samples);
         self
     }
 
-    /// The configured memory budget, if any.
-    pub fn memory_budget_bytes(&self) -> Option<usize> {
-        self.memory_budget
-    }
-
-    /// `true` when [`MeasurementSession::run`] will take the streaming
-    /// path: a memory budget is set and the batch record footprint
-    /// exceeds it.
-    pub fn streaming_active(&self) -> bool {
-        self.memory_budget
-            .is_some_and(|budget| self.setup.samples.saturating_mul(8) > budget)
-    }
-
-    /// The chunk length (in samples) the streaming pipeline uses:
-    /// the explicit override when set, otherwise the budget divided
-    /// across the pipeline's live buffers. Floored at 1024 samples —
-    /// below that, shrinking chunks further buys no meaningful memory
-    /// (the Welch plan dominates) while the per-chunk overhead grows,
-    /// so sub-64 KiB budgets run at the floor rather than honoring
-    /// the cap exactly (see [`MeasurementSession::memory_budget`]).
+    /// The chunk length (in samples) the acquisition chains use: the
+    /// [`MeasurementSession::streaming_chunk_len`] override when set,
+    /// otherwise 4 096, clamped to `[1, samples]`.
     pub fn streaming_chunk_samples(&self) -> usize {
-        let cap = self.setup.samples.max(1);
-        if let Some(n) = self.streaming_chunk {
-            return n.clamp(1, cap);
-        }
-        let budget = self.memory_budget.unwrap_or(usize::MAX);
-        (budget / (8 * STREAMING_PIPELINE_BUFFERS))
-            .max(1_024)
-            .min(cap)
+        self.streaming_chunk
+            .unwrap_or(STREAMING_CHUNK_SAMPLES)
+            .clamp(1, self.setup.samples.max(1))
     }
 
     /// The setup.
@@ -452,7 +414,7 @@ impl MeasurementSession {
         Ok(self.setup.reference_fraction * self.digitizer_noise_rms(NoiseSourceState::Cold)?)
     }
 
-    /// The reference waveform shared by every acquisition (all zeros
+    /// The reference waveform of a materialized acquisition (all zeros
     /// when the front-end uses no reference).
     fn reference_waveform(&self) -> Result<Vec<f64>, SocError> {
         if self.digitizer.uses_reference() {
@@ -465,66 +427,59 @@ impl MeasurementSession {
         }
     }
 
-    /// Runs one acquisition for repeat index `repeat`: source noise →
-    /// DUT → front-end conditioning → digitizer (against the reference
-    /// sine when the front-end uses one).
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulation errors.
-    pub fn acquire(&self, state: NoiseSourceState, repeat: usize) -> Result<Record, SocError> {
-        self.acquire_conditioned(
-            state,
-            repeat,
-            self.frontend_gain()?,
-            &self.reference_waveform()?,
-        )
-    }
-
-    /// The acquisition body, with the run-invariant conditioning gain
-    /// and reference waveform supplied by the caller (hoisted out of
-    /// the repeat loop in [`MeasurementSession::run`]).
-    fn acquire_conditioned(
+    /// The seeded noise source and the DUT noise seed of one source
+    /// state in one repeat — the one derivation both the acquisition
+    /// chain and [`MeasurementSession::acquire`] use.
+    fn state_source(
         &self,
         state: NoiseSourceState,
         repeat: usize,
-        gain: f64,
-        reference: &[f64],
-    ) -> Result<Record, SocError> {
-        let n = self.setup.samples;
-        let fs = self.setup.sample_rate;
-        let seed = self.repeat_seed(repeat);
+    ) -> Result<(CalibratedNoiseSource, u64), SocError> {
         let mut src = self.source(repeat)?;
-        // Distinct noise records per state: the source seed evolves per
-        // call, and the DUT noise seed is derived from the state.
+        // Distinct noise records per state: the source stream advances
+        // one sample for the cold state, and the DUT noise seed is
+        // salted by the state.
         let state_salt = match state {
             NoiseSourceState::Hot => 1u64,
             NoiseSourceState::Cold => 2u64,
         };
         if state == NoiseSourceState::Cold {
-            // Advance the source stream so hot/cold records are
-            // independent even though `src` is rebuilt per call.
-            let _ = src.generate(state, 1, fs)?;
+            let _ = src.generate(state, 1, self.setup.sample_rate)?;
         }
-        let source_noise = src.generate(state, n, fs)?;
-
-        let dut_out = self.dut.process(
-            &source_noise,
-            self.setup.source_resistance,
-            fs,
-            seed.wrapping_add(state_salt).wrapping_mul(0x9E37),
-        )?;
-
-        let conditioned: Vec<f64> = dut_out.iter().map(|v| v * gain).collect();
-
-        Ok(self.digitizer.acquire(&conditioned, reference)?)
+        let dut_seed = self
+            .repeat_seed(repeat)
+            .wrapping_add(state_salt)
+            .wrapping_mul(0x9E37);
+        Ok((src, dut_seed))
     }
 
-    /// The run-invariant conditioning shared by every repeat: the
-    /// front-end gain and the reference waveform. Computed once per run
-    /// (or once per batch when a parallel executor fans the repeats
-    /// out) and passed to
-    /// [`MeasurementSession::measure_repeat_conditioned`].
+    /// Runs one whole-record acquisition for repeat index `repeat`:
+    /// source noise → DUT → front-end conditioning → digitizer (against
+    /// the reference sine when the front-end uses one), each stage over
+    /// the materialized record. The record holds exactly the samples
+    /// [`MeasurementSession::run`] streams through its chain for the
+    /// same state and repeat, which makes it the reference the chain
+    /// is tested against.
+    ///
+    /// # Errors
+    ///
+    /// Propagates simulation errors.
+    pub fn acquire(&self, state: NoiseSourceState, repeat: usize) -> Result<Record, SocError> {
+        let (gain, reference) = self.conditioning()?;
+        let fs = self.setup.sample_rate;
+        let (mut src, dut_seed) = self.state_source(state, repeat)?;
+        let source_noise = src.generate(state, self.setup.samples, fs)?;
+        let dut_out =
+            self.dut
+                .process(&source_noise, self.setup.source_resistance, fs, dut_seed)?;
+        let conditioned: Vec<f64> = dut_out.iter().map(|v| v * gain).collect();
+        Ok(self.digitizer.acquire(&conditioned, &reference)?)
+    }
+
+    /// The run-invariant conditioning of a materialized acquisition:
+    /// the front-end gain and the whole-record reference waveform.
+    /// [`MeasurementSession::run`] needs only the gain, since its
+    /// chains synthesize reference chunks on the fly.
     ///
     /// # Errors
     ///
@@ -533,66 +488,42 @@ impl MeasurementSession {
         Ok((self.frontend_gain()?, self.reference_waveform()?))
     }
 
-    /// Runs one complete repeat — hot and cold acquisition plus the
-    /// ratio estimate — with the run-invariant conditioning supplied by
-    /// the caller (see [`MeasurementSession::conditioning`]).
-    ///
-    /// Each repeat is fully determined by `(setup seed, repeat index)`,
-    /// which is what makes fan-out across worker threads bit-identical
-    /// to the sequential loop.
-    ///
-    /// # Errors
-    ///
-    /// Propagates acquisition and estimation errors.
-    pub fn measure_repeat_conditioned(
-        &self,
-        repeat: usize,
-        gain: f64,
-        reference: &[f64],
-    ) -> Result<RepeatMeasurement, SocError> {
-        let hot = self.acquire_conditioned(NoiseSourceState::Hot, repeat, gain, reference)?;
-        let cold = self.acquire_conditioned(NoiseSourceState::Cold, repeat, gain, reference)?;
-        let ratio = self
-            .estimator
-            .estimate(&hot.to_samples(), &cold.to_samples())?;
-        // A single noisy repeat may estimate Y <= 1 (degenerate on
-        // its own) yet still contribute to a valid mean, so the
-        // per-repeat NF is optional rather than an abort.
-        let nf =
-            NfMeasurement::from_y(ratio.ratio, self.setup.hot_kelvin, self.setup.cold_kelvin).ok();
-        Ok(RepeatMeasurement { nf, ratio })
-    }
-
-    /// Runs one complete repeat in **streaming mode**: hot and cold
-    /// acquisitions flow chunk by chunk through source → DUT →
-    /// conditioning → digitizer into the estimator's
-    /// [`RatioAccumulator`],
-    /// with no buffer ever holding a full record. Because every stage
-    /// evolves the same sequential state the batch path does, the
-    /// returned [`RepeatMeasurement`] is **bit-identical** to
-    /// [`MeasurementSession::measure_repeat_conditioned`] for the same
-    /// `(seed, repeat)` — for any chunk length.
+    /// Runs one complete repeat: the hot record streams through its
+    /// acquisition chain into the estimator's cumulative accumulator,
+    /// the chain is dropped, and the cold record streams through a
+    /// chain of its own into the same accumulator, which then forms
+    /// the ratio. Only one state's chain is alive at a time.
     ///
     /// `gain` is the run-invariant front-end gain
-    /// ([`MeasurementSession::frontend_gain`]); unlike the batch path
-    /// no materialized reference waveform is passed — reference chunks
-    /// are synthesized on the fly from the absolute sample index.
+    /// ([`MeasurementSession::frontend_gain`]), hoisted out so a batch
+    /// computes it once. Each repeat is fully determined by
+    /// `(setup seed, repeat index)`, which is what makes fan-out across
+    /// worker threads bit-identical to the sequential loop.
     ///
     /// # Errors
     ///
     /// Propagates acquisition and estimation errors.
-    pub fn measure_repeat_streaming(
-        &self,
-        repeat: usize,
-        gain: f64,
-    ) -> Result<RepeatMeasurement, SocError> {
-        let mut seq = self.begin_sequential(repeat, gain)?;
-        seq.advance_to(self.setup.samples)?;
-        seq.finish()
+    pub fn measure_repeat(&self, repeat: usize, gain: f64) -> Result<RepeatMeasurement, SocError> {
+        let mut acc = self.estimator.begin(EstimatorWindow::Cumulative)?;
+        let chunk = self.streaming_chunk_samples();
+        for state in [NoiseSourceState::Hot, NoiseSourceState::Cold] {
+            let mut chain = self.begin_state_chain(state, repeat, gain)?;
+            let mut sink = |s: &[f64]| match state {
+                NoiseSourceState::Hot => acc.push_hot(s),
+                NoiseSourceState::Cold => acc.push_cold(s),
+            };
+            chain.advance_to(self.setup.samples, chunk, &mut sink)?;
+            chain.finish(&mut sink)?;
+        }
+        Ok(RepeatMeasurement::new(
+            acc.finish()?,
+            self.setup.hot_kelvin,
+            self.setup.cold_kelvin,
+        ))
     }
 
-    /// Opens a **resumable** streaming repeat: both source-state
-    /// acquisition chains plus the estimator's cumulative accumulator
+    /// Opens a **resumable** repeat: both source-state acquisition
+    /// chains plus the estimator's cumulative accumulator
     /// ([`EstimatorWindow::Cumulative`]), positioned at sample zero.
     /// The caller advances it checkpoint by checkpoint
     /// ([`SequentialRepeat::advance_to`]), consults interim estimates
@@ -624,12 +555,10 @@ impl MeasurementSession {
         })
     }
 
-    /// Opens one source-state acquisition chain at sample zero.
-    ///
-    /// The seed handling mirrors [`MeasurementSession::acquire_conditioned`]
-    /// step for step (including the cold-state source advance), so the
-    /// samples the chain emits match the batch record bitwise — for any
-    /// chunking and any stopping point.
+    /// Opens one source-state acquisition chain at sample zero, seeded
+    /// as [`MeasurementSession::acquire`] seeds the same state and
+    /// repeat, so the samples the chain emits match that record
+    /// bitwise — for any chunking and any stopping point.
     pub(crate) fn begin_state_chain(
         &self,
         state: NoiseSourceState,
@@ -637,23 +566,11 @@ impl MeasurementSession {
         gain: f64,
     ) -> Result<StateChain<'_>, SocError> {
         let fs = self.setup.sample_rate;
-        let seed = self.repeat_seed(repeat);
-        let mut src = self.source(repeat)?;
-        let state_salt = match state {
-            NoiseSourceState::Hot => 1u64,
-            NoiseSourceState::Cold => 2u64,
-        };
-        if state == NoiseSourceState::Cold {
-            // Advance the source stream so hot/cold records are
-            // independent (identical to the batch path).
-            let _ = src.generate(state, 1, fs)?;
-        }
+        let (mut src, dut_seed) = self.state_source(state, repeat)?;
         let source_stream = src.stream(state, fs)?;
-        let dut_stream = self.dut.process_stream(
-            self.setup.source_resistance,
-            fs,
-            seed.wrapping_add(state_salt).wrapping_mul(0x9E37),
-        )?;
+        let dut_stream = self
+            .dut
+            .process_stream(self.setup.source_resistance, fs, dut_seed)?;
         let capture = self.digitizer.begin_capture();
         let reference = if self.digitizer.uses_reference() {
             Some(SineSource::new(
@@ -746,9 +663,8 @@ impl MeasurementSession {
     /// the mean ratio, the analytic expectation, and resource
     /// accounting.
     ///
-    /// The body is exactly [`MeasurementSession::conditioning`] → a
-    /// sequential loop of
-    /// [`MeasurementSession::measure_repeat_conditioned`] →
+    /// The body is exactly [`MeasurementSession::frontend_gain`] → a
+    /// sequential loop of [`MeasurementSession::measure_repeat`] →
     /// [`MeasurementSession::combine`]; the parallel batch runner in
     /// `nfbist-runtime` replaces only the loop, so its output is
     /// bit-identical by construction.
@@ -756,43 +672,11 @@ impl MeasurementSession {
     /// # Errors
     ///
     /// Propagates acquisition and estimation errors.
-    ///
-    /// # Streaming
-    ///
-    /// When [`MeasurementSession::streaming_active`] is `true` (see
-    /// [`MeasurementSession::memory_budget`]), the loop body is
-    /// [`MeasurementSession::measure_repeat_streaming`] instead and no
-    /// full record — not even the reference waveform — is ever
-    /// materialized. The returned [`Measurement`] is bit-identical
-    /// either way.
     pub fn run(&self) -> Result<Measurement, SocError> {
-        if self.streaming_active() {
-            let gain = self.frontend_gain()?;
-            let mut repeats = Vec::with_capacity(self.repeats);
-            for r in 0..self.repeats {
-                repeats.push(self.measure_repeat_streaming(r, gain)?);
-            }
-            self.combine(repeats)
-        } else {
-            self.run_batch_reference()
-        }
-    }
-
-    /// Runs the measurement on the **batch** path unconditionally, even
-    /// when a memory budget would select streaming — the reference
-    /// against which streaming output is asserted bit-identical (the
-    /// `exp_montecarlo --streaming` smoke and the integration tests
-    /// use it).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`MeasurementSession::run`].
-    pub fn run_batch_reference(&self) -> Result<Measurement, SocError> {
-        let (gain, reference) = self.conditioning()?;
-        let mut repeats = Vec::with_capacity(self.repeats);
-        for r in 0..self.repeats {
-            repeats.push(self.measure_repeat_conditioned(r, gain, &reference)?);
-        }
+        let gain = self.frontend_gain()?;
+        let repeats = (0..self.repeats)
+            .map(|r| self.measure_repeat(r, gain))
+            .collect::<Result<_, _>>()?;
         self.combine(repeats)
     }
 }
@@ -800,9 +684,10 @@ impl MeasurementSession {
 /// One source state's resumable acquisition pipeline: source noise →
 /// DUT → conditioning gain → digitizer, positioned at an absolute
 /// sample offset. Every stage carries its own sequential state, so
-/// advancing the chain in any chunking emits the exact bit pattern the
-/// batch path would — and stopping at offset `n` leaves every stage in
-/// the state a batch run of record length `n` would have reached.
+/// advancing the chain in any chunking emits the exact bit pattern of
+/// the whole-record [`MeasurementSession::acquire`] — and stopping at
+/// offset `n` leaves every stage in the state a record of length `n`
+/// would have reached.
 pub(crate) struct StateChain<'a> {
     sample_rate: f64,
     gain: f64,
@@ -843,8 +728,8 @@ impl StateChain<'_> {
 
     /// Closes the chain at its current offset: flushes the DUT stream's
     /// tail and the digitizer's held-back samples into `sink`. After
-    /// this the sink has received exactly the expanded record a batch
-    /// acquisition of `self.produced` samples produces.
+    /// this the sink has received exactly the expanded record a
+    /// whole-record acquisition of `self.produced` samples produces.
     fn finish(
         &mut self,
         sink: &mut dyn FnMut(&[f64]) -> Result<(), nfbist_core::CoreError>,
@@ -896,17 +781,16 @@ impl StateChain<'_> {
     }
 }
 
-/// A streaming repeat held open for sequential (early-stopping)
-/// acquisition: the hot and cold per-stage pipeline chains plus the
-/// estimator's accumulator.
+/// A repeat held open for sequential (early-stopping) acquisition: the
+/// hot and cold acquisition chains plus the estimator's accumulator.
 ///
 /// Advance it to successive checkpoints, consult
 /// [`SequentialRepeat::snapshot`] after each, and call
 /// [`SequentialRepeat::finish`] the moment the decision is safe — the
-/// finished measurement is **bit-identical** to a batch run whose
-/// record length equals the stopping point, because every pipeline
-/// stage evolves the exact state the batch path would (the invariant
-/// the streaming-vs-batch tests pin down).
+/// finished measurement is **bit-identical** to a run whose record
+/// length equals the stopping point, because every pipeline stage
+/// evolves the exact state a shorter record would (the invariant the
+/// sequential-stop tests pin down).
 ///
 /// Borrowed from the session that opened it
 /// ([`MeasurementSession::begin_sequential`]).
@@ -968,8 +852,8 @@ impl SequentialRepeat<'_> {
 
     /// Closes the repeat at its current stopping point: flushes the
     /// DUT and capture tails into the accumulator and forms the final
-    /// ratio — bit-identical to a batch acquisition of
-    /// [`SequentialRepeat::samples_consumed`] samples.
+    /// ratio — bit-identical to a run whose record is
+    /// [`SequentialRepeat::samples_consumed`] samples long.
     ///
     /// # Errors
     ///
@@ -985,9 +869,11 @@ impl SequentialRepeat<'_> {
         } = self;
         hot.finish(&mut |s| acc.push_hot(s))?;
         cold.finish(&mut |s| acc.push_cold(s))?;
-        let ratio = acc.finish()?;
-        let nf = NfMeasurement::from_y(ratio.ratio, hot_kelvin, cold_kelvin).ok();
-        Ok(RepeatMeasurement { nf, ratio })
+        Ok(RepeatMeasurement::new(
+            acc.finish()?,
+            hot_kelvin,
+            cold_kelvin,
+        ))
     }
 }
 
@@ -995,11 +881,90 @@ impl SequentialRepeat<'_> {
 mod tests {
     use super::*;
     use nfbist_analog::converter::AdcDigitizer;
+    use nfbist_analog::fault::{AnalogFault, FaultyDut};
     use nfbist_analog::units::Ohms;
-    use nfbist_core::power_ratio::PsdRatioEstimator;
+    use nfbist_core::power_ratio::{MeanSquareEstimator, PsdRatioEstimator};
 
     fn dut(opamp: OpampModel) -> NonInvertingAmplifier {
         NonInvertingAmplifier::new(opamp, Ohms::new(10_000.0), Ohms::new(100.0)).unwrap()
+    }
+
+    /// Repeat `r` on the materialized reference path: both records
+    /// acquired whole, expanded, and estimated in one batch call.
+    fn materialized_repeat(session: &MeasurementSession, r: usize) -> RepeatMeasurement {
+        let hot = session.acquire(NoiseSourceState::Hot, r).unwrap();
+        let cold = session.acquire(NoiseSourceState::Cold, r).unwrap();
+        let ratio = session
+            .estimator_ref()
+            .estimate(&hot.to_samples(), &cold.to_samples())
+            .unwrap();
+        let setup = session.setup();
+        RepeatMeasurement::new(ratio, setup.hot_kelvin, setup.cold_kelvin)
+    }
+
+    /// The whole measurement assembled from materialized repeats.
+    fn materialized_run(session: &MeasurementSession) -> Measurement {
+        let repeats = (0..session.repeat_count())
+            .map(|r| materialized_repeat(session, r))
+            .collect();
+        session.combine(repeats).unwrap()
+    }
+
+    #[test]
+    fn run_matches_the_materialized_reference_bitwise() {
+        // Every estimator/front-end pairing the crate ships, plus a
+        // faulted DUT, at the default chunk and at one that divides
+        // neither the record nor the Welch segment.
+        let mut setup = BistSetup::quick(41);
+        setup.samples = 1 << 14;
+        setup.nfft = 1_024;
+        let psd = || PsdRatioEstimator::new(setup.sample_rate, setup.nfft, setup.noise_band);
+        let faulty = || {
+            FaultyDut::new(dut(OpampModel::tl081()))
+                .with_faults([
+                    AnalogFault::ExcessNoise { factor: 3.0 },
+                    AnalogFault::GainDeviation { factor: 0.8 },
+                ])
+                .unwrap()
+        };
+        let build = |case: usize| {
+            let session = MeasurementSession::new(setup.clone()).unwrap().repeats(2);
+            match case {
+                0 => session.dut(dut(OpampModel::tl081())),
+                1 => session
+                    .dut(dut(OpampModel::tl081()))
+                    .digitizer(AdcDigitizer::new(12).unwrap())
+                    .estimator(psd().unwrap()),
+                2 => session
+                    .dut(dut(OpampModel::tl081()))
+                    .digitizer(AdcDigitizer::new(12).unwrap())
+                    .estimator(MeanSquareEstimator),
+                _ => session.dut(faulty()),
+            }
+        };
+        for case in 0..4 {
+            let reference = build(case);
+            let label = reference.estimator_ref().label();
+            let materialized: Vec<_> = (0..2).map(|r| materialized_repeat(&reference, r)).collect();
+            for chunk in [None, Some(1_000)] {
+                let session = match chunk {
+                    Some(n) => build(case).streaming_chunk_len(n),
+                    None => build(case),
+                };
+                let run = session.run().unwrap();
+                for (r, (got, want)) in run.repeats.iter().zip(&materialized).enumerate() {
+                    let (got, want) = (&got.ratio, &want.ratio);
+                    let what = format!("case {case} ({label}), chunk {chunk:?}, repeat {r}");
+                    assert_eq!(got.ratio.to_bits(), want.ratio.to_bits(), "{what}");
+                    assert_eq!(got.hot_power.to_bits(), want.hot_power.to_bits(), "{what}");
+                    assert_eq!(
+                        got.cold_power.to_bits(),
+                        want.cold_power.to_bits(),
+                        "{what}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -1230,13 +1195,9 @@ mod tests {
             .repeats(2);
         let direct = session.run().unwrap();
         // The same three public pieces the parallel runner uses.
-        let (gain, reference) = session.conditioning().unwrap();
+        let gain = session.frontend_gain().unwrap();
         let repeats: Vec<_> = (0..2)
-            .map(|r| {
-                session
-                    .measure_repeat_conditioned(r, gain, &reference)
-                    .unwrap()
-            })
+            .map(|r| session.measure_repeat(r, gain).unwrap())
             .collect();
         let assembled = session.combine(repeats).unwrap();
         assert_eq!(direct.nf.y, assembled.nf.y);
@@ -1299,13 +1260,10 @@ mod tests {
                 .dut(dut(OpampModel::tl081()))
                 .repeats(2)
         };
-        let batch = build().run().unwrap();
-        assert!(!build().streaming_active());
+        let batch = materialized_run(&build());
         // Chunk sizes below, at, and off the Welch segment length.
         for chunk in [1_000usize, 1_024, 1_025, 7_777] {
-            let session = build().memory_budget(1).streaming_chunk_len(chunk);
-            assert!(session.streaming_active(), "budget 1 byte forces streaming");
-            let streamed = session.run().unwrap();
+            let streamed = build().streaming_chunk_len(chunk).run().unwrap();
             assert_eq!(
                 streamed.nf.y.to_bits(),
                 batch.nf.y.to_bits(),
@@ -1358,11 +1316,11 @@ mod tests {
                 let stopped = seq.finish().unwrap();
                 let mut short = setup.clone();
                 short.samples = n_c;
-                let batch = MeasurementSession::new(short)
-                    .unwrap()
-                    .dut(dut(OpampModel::tl081()))
-                    .run()
-                    .unwrap();
+                let batch = materialized_run(
+                    &MeasurementSession::new(short)
+                        .unwrap()
+                        .dut(dut(OpampModel::tl081())),
+                );
                 assert_eq!(
                     stopped.ratio.ratio.to_bits(),
                     batch.nf.y.to_bits(),
@@ -1391,8 +1349,8 @@ mod tests {
                         .unwrap(),
                 )
         };
-        let batch = build().run().unwrap();
-        let streamed = build().memory_budget(64 * 1024).run().unwrap();
+        let batch = materialized_run(&build());
+        let streamed = build().streaming_chunk_len(1_024).run().unwrap();
         assert_eq!(streamed.nf.y.to_bits(), batch.nf.y.to_bits());
         assert_eq!(
             streamed.reference_amplitude, 0.0,
@@ -1401,35 +1359,23 @@ mod tests {
     }
 
     #[test]
-    fn budget_large_enough_keeps_the_batch_path() {
-        let mut setup = BistSetup::quick(23);
-        setup.samples = 1 << 13;
-        setup.nfft = 1_024;
-        let session = MeasurementSession::new(setup)
-            .unwrap()
-            .memory_budget(usize::MAX);
-        assert!(!session.streaming_active(), "record fits the budget");
-        assert_eq!(session.memory_budget_bytes(), Some(usize::MAX));
-    }
-
-    #[test]
-    fn streaming_chunk_derivation_respects_budget_and_floor() {
+    fn streaming_chunk_is_the_override_or_4096_clamped_to_the_record() {
         let mut setup = BistSetup::quick(29);
         setup.samples = 1 << 17;
         let session = MeasurementSession::new(setup.clone()).unwrap();
-        // 1 MiB budget across 8 pipeline buffers of 8-byte samples.
-        let s = MeasurementSession::new(setup.clone())
-            .unwrap()
-            .memory_budget(1 << 20);
-        assert_eq!(s.streaming_chunk_samples(), (1 << 20) / 64);
-        // Tiny budgets floor at 1024 samples, never pathological chunks.
-        let tiny = MeasurementSession::new(setup.clone())
-            .unwrap()
-            .memory_budget(16);
-        assert_eq!(tiny.streaming_chunk_samples(), 1_024);
+        assert_eq!(session.streaming_chunk_samples(), 4_096);
+        // A record shorter than the default chunk streams in one chunk.
+        let mut short = setup.clone();
+        short.samples = 3_000;
+        let short = MeasurementSession::new(short).unwrap();
+        assert_eq!(short.streaming_chunk_samples(), 3_000);
         // Explicit override clamps to the record.
         let forced = session.streaming_chunk_len(usize::MAX);
         assert_eq!(forced.streaming_chunk_samples(), 1 << 17);
+        let tiny = MeasurementSession::new(setup)
+            .unwrap()
+            .streaming_chunk_len(0);
+        assert_eq!(tiny.streaming_chunk_samples(), 1);
     }
 
     #[test]

@@ -93,40 +93,24 @@ impl BatchPlan {
 
     /// Runs one session with its repeats fanned out across workers.
     ///
-    /// The run-invariant conditioning (front-end gain, reference
-    /// waveform) is computed once and shared by reference; each repeat
-    /// is then an independent task seeded by its index, and the
-    /// outcomes are recombined with the session's own
+    /// The run-invariant front-end gain is computed once; each repeat
+    /// is then an independent [`MeasurementSession::measure_repeat`]
+    /// task seeded by its index, streaming its hot and then its cold
+    /// record through the session's chunked chain, and the outcomes are
+    /// recombined with the session's own
     /// [`MeasurementSession::combine`] — making the result
     /// bit-identical to [`MeasurementSession::run`] for any worker
     /// count.
-    ///
-    /// A session in streaming mode
-    /// ([`MeasurementSession::streaming_active`]) fans out
-    /// [`MeasurementSession::measure_repeat_streaming`] cells instead:
-    /// each worker runs its repeats chunk by chunk under the memory
-    /// budget (no materialized reference waveform either), and the
-    /// recombined measurement is *still* bit-identical to the
-    /// sequential run for any worker count — the streaming repeat is a
-    /// pure function of `(setup seed, repeat index)` exactly like the
-    /// batch one.
     ///
     /// # Errors
     ///
     /// Propagates acquisition, estimation and combination errors (the
     /// first failing repeat wins, in repeat order).
     pub fn run_session(&self, session: &MeasurementSession) -> Result<Measurement, SocError> {
-        let repeats = session.repeat_count();
-        let outcomes = if session.streaming_active() {
-            let gain = session.frontend_gain()?;
-            self.queue()
-                .run(repeats, |r| session.measure_repeat_streaming(r, gain))
-        } else {
-            let (gain, reference) = session.conditioning()?;
-            self.queue().run(repeats, |r| {
-                session.measure_repeat_conditioned(r, gain, &reference)
-            })
-        };
+        let gain = session.frontend_gain()?;
+        let outcomes = self
+            .queue()
+            .run(session.repeat_count(), |r| session.measure_repeat(r, gain));
         session.combine(outcomes.into_iter().collect::<Result<Vec<_>, _>>()?)
     }
 

@@ -141,8 +141,9 @@ impl MonitorPlan {
     /// receives each monitor's fleet index and constructs its mission;
     /// `cost_bytes` is one mission's worst-case transient memory, the
     /// unit the admission gate charges (a mission's streaming working
-    /// set — chunk buffers plus the Welch plan — is a good value;
-    /// see `MeasurementSession::memory_budget`).
+    /// set — its chains' chunk buffers, the DUT's noise-synthesis
+    /// blocks and the window's retained Welch segments — is a good
+    /// value; see `MeasurementSession::streaming_chunk_samples`).
     ///
     /// A mission whose every attempt fails (panic, deadline,
     /// allocation failure, pipeline error) becomes a

@@ -33,13 +33,9 @@ fn amp() -> nfbist_analog::circuits::NonInvertingAmplifier {
 /// One fleet monitor's mission: PSD estimator over an 8-segment
 /// sliding window; odd-indexed monitors age through an 8x excess-noise
 /// step mid-mission, even-indexed monitors stay healthy. `chunk`
-/// overrides the streaming chunk length, `budget` the session memory
-/// budget — the two knobs the timeline must be independent of.
-fn mission(
-    index: usize,
-    chunk: Option<usize>,
-    budget: Option<usize>,
-) -> Result<MonitorSession, SocError> {
+/// overrides the streaming chunk length, a knob the timeline must be
+/// independent of.
+fn mission(index: usize, chunk: Option<usize>) -> Result<MonitorSession, SocError> {
     let mut setup = BistSetup::quick(derive_seed(BASE_SEED, index as u64));
     setup.samples = 1 << 14;
     setup.nfft = 1_024;
@@ -60,9 +56,6 @@ fn mission(
     };
     if let Some(samples) = chunk {
         monitor = monitor.streaming_chunk_len(samples);
-    }
-    if let Some(bytes) = budget {
-        monitor = monitor.memory_budget(bytes);
     }
     Ok(monitor)
 }
@@ -101,7 +94,7 @@ fn assert_fleet_bits_identical(a: &MonitorFleetReport, b: &MonitorFleetReport, l
 /// reproduce the reference timelines bit for bit.
 #[test]
 fn timelines_are_bit_identical_across_chunks_workers_and_budgets() {
-    let reference = MonitorPlan::sequential().run_fleet(FLEET, 1 << 16, |i| mission(i, None, None));
+    let reference = MonitorPlan::sequential().run_fleet(FLEET, 1 << 16, |i| mission(i, None));
 
     // The fleet must actually contain both timeline shapes: drifting
     // monitors alarm (and only after their defect activates), healthy
@@ -129,7 +122,7 @@ fn timelines_are_bit_identical_across_chunks_workers_and_budgets() {
                     Some(bytes) => MonitorPlan::workers(workers).memory_budget(bytes),
                     None => MonitorPlan::workers(workers),
                 };
-                let fleet = plan.run_fleet(FLEET, 1 << 16, |i| mission(i, chunk, budget));
+                let fleet = plan.run_fleet(FLEET, 1 << 16, |i| mission(i, chunk));
                 assert_fleet_bits_identical(
                     &reference,
                     &fleet,
@@ -146,7 +139,7 @@ fn timelines_are_bit_identical_across_chunks_workers_and_budgets() {
 #[test]
 fn injected_panic_quarantines_one_monitor_without_perturbing_the_rest() {
     install_quiet_panic_hook();
-    let clean = MonitorPlan::sequential().run_fleet(FLEET, 1 << 16, |i| mission(i, None, None));
+    let clean = MonitorPlan::sequential().run_fleet(FLEET, 1 << 16, |i| mission(i, None));
     let chaos = ChaosConfig::new(1)
         .panic_rate_per_mille(250)
         .stall_rate_per_mille(0)
@@ -161,7 +154,7 @@ fn injected_panic_quarantines_one_monitor_without_perturbing_the_rest() {
 
     let fleet = MonitorPlan::workers(2)
         .chaos(chaos)
-        .run_fleet(FLEET, 1 << 16, |i| mission(i, None, None));
+        .run_fleet(FLEET, 1 << 16, |i| mission(i, None));
     assert!(fleet.degraded());
     let faulted: Vec<usize> = fleet.faults().map(|f| f.monitor).collect();
     assert_eq!(faulted, marked, "exactly the marked monitor must fault");
@@ -184,7 +177,7 @@ fn injected_panic_quarantines_one_monitor_without_perturbing_the_rest() {
     let recovered = MonitorPlan::workers(2)
         .task_policy(nfbist_runtime::supervisor::TaskPolicy::new().attempts(2))
         .chaos(chaos)
-        .run_fleet(FLEET, 1 << 16, |i| mission(i, None, None));
+        .run_fleet(FLEET, 1 << 16, |i| mission(i, None));
     assert!(!recovered.degraded());
     assert_eq!(recovered, clean, "recovered fleet must be bit-identical");
 }

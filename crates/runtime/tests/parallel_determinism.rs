@@ -233,9 +233,9 @@ fn coverage_campaign_parallel_report_matches_sequential() {
 
 #[test]
 fn streaming_session_is_bit_identical_across_worker_counts() {
-    // A streaming-mode session (memory budget far below the record)
-    // fanned across 1 and 3 workers must recombine to the same bits —
-    // and to the sequential streaming run.
+    // A session streaming 1 024-sample chunks, fanned across 1 and 3
+    // workers, must recombine to the same bits — and to the sequential
+    // run.
     let mut setup = BistSetup::quick(17);
     setup.samples = 1 << 14;
     setup.nfft = 1_024;
@@ -246,8 +246,7 @@ fn streaming_session_is_bit_identical_across_worker_counts() {
                 .expect("dut"),
         )
         .repeats(4)
-        .memory_budget(32 * 1024);
-    assert!(session.streaming_active());
+        .streaming_chunk_len(1_024);
     let sequential = session.run().expect("sequential run");
     for workers in [1usize, 3] {
         let fanned = BatchPlan::new()

@@ -1,14 +1,13 @@
-//! End-to-end streaming acquisition: the chunked session pipeline
-//! (source → DUT → conditioning → digitizer → streaming estimator)
-//! against the batch pipeline, at the workspace level where every
-//! crate's streaming piece composes.
+//! End-to-end chunked acquisition: the session's chain (source → DUT
+//! → conditioning → digitizer → streaming estimator) at the workspace
+//! level where every crate's streaming piece composes. Each `batch`
+//! below is the session run at its default chunk; the session's own
+//! tests pin that run to the materialized whole-record reference.
 //!
-//! The contract under test is the PR's acceptance criterion: for the
-//! same seed, streaming and batch measurements are **bitwise
-//! identical** (`f64::to_bits`) for every chunk size — including
-//! chunk sizes smaller than, equal to, and non-divisors of the Welch
-//! segment length — and for both the incremental fast path and the
-//! buffered fallback that unknown DUTs get.
+//! The contract under test: for the same seed, measurements are
+//! **bitwise identical** (`f64::to_bits`) for every chunk size —
+//! including chunk sizes smaller than, equal to, and non-divisors of
+//! the Welch segment length — and for healthy and faulted DUTs alike.
 
 use nfbist_analog::circuits::NonInvertingAmplifier;
 use nfbist_analog::fault::{AnalogFault, FaultyDut};
@@ -44,7 +43,6 @@ fn one_bit_streaming_session_matches_batch_at_scale() {
     // the 2048-point segment length.
     for chunk in [1_000usize, 2_048, 2_049, 5_000] {
         let streamed = build()
-            .memory_budget(1) // record always exceeds it -> streaming
             .streaming_chunk_len(chunk)
             .run()
             .expect("streaming run");
@@ -77,10 +75,11 @@ fn one_bit_streaming_session_matches_batch_at_scale() {
 
 #[test]
 fn faulty_dut_streams_through_the_buffered_fallback() {
-    // FaultyDut has no incremental stream — it exercises the buffered
-    // DutStream fallback inside a streaming session, which must still
-    // be bit-identical to the batch run (the fallback literally calls
-    // the batch `process`).
+    // FaultyDut streams through its own incremental FaultyDutStream:
+    // the healthy amplifier's stream with the fault stages (here the
+    // excess-noise overlay, a second ShapedNoise generator) applied
+    // chunk by chunk, which must still be bit-identical to the
+    // reference run.
     let setup = reduced_setup(5);
     let build = || {
         let dut = FaultyDut::new(paper_dut(OpampModel::tl081()))
@@ -92,7 +91,7 @@ fn faulty_dut_streams_through_the_buffered_fallback() {
     };
     let batch = build().run().expect("batch run");
     let streamed = build()
-        .memory_budget(8 * 1024)
+        .streaming_chunk_len(1_024)
         .run()
         .expect("streaming run");
     assert_eq!(streamed.nf.y.to_bits(), batch.nf.y.to_bits());
@@ -109,7 +108,7 @@ fn streaming_monte_carlo_fans_out_bit_identically() {
         let setup = reduced_setup(nfbist_runtime::batch::derive_seed(11, trial as u64));
         Ok(MeasurementSession::new(setup)?
             .dut(paper_dut(OpampModel::tl081()))
-            .memory_budget(64 * 1024))
+            .streaming_chunk_len(1_024))
     };
     let seq = plan_seq.run_monte_carlo(4, build).expect("sequential");
     let par = plan_par.run_monte_carlo(4, build).expect("parallel");
